@@ -480,9 +480,6 @@ class LabelRegistry:
             )
         return self._labels[result]
 
-    def has_product(self, left: InertialLabel, right: InertialLabel) -> bool:
-        return (left.name, right.name) in self._products
-
 
 def _scalar_from_doc(doc) -> ExactScalar:
     re_part = _fraction(tuple(doc.get("re", (0, 1))))

@@ -250,8 +250,7 @@ def _run_dieudonne(args):
     return out
 
 
-def run_command(argv):
-    args = build_parser().parse_args(argv)
+def run_command(args):
     ctx = _context(args)
     registry = _registry(args, ctx)
     cmd = args.command
@@ -326,30 +325,29 @@ def run_command(argv):
     raise PayloadError(f"unknown command {cmd!r}")
 
 
+def _dump(result) -> str:
+    return json.dumps(result, sort_keys=True, indent=2) + "\n"
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        result = run_command(argv)
+        # serialising inside the try: json.dumps itself can fail, e.g. on an
+        # integer longer than Python's int-to-str digit limit
+        text = _dump(run_command(args))
         status = 0
     except (json.JSONDecodeError, PayloadError, KeyError, TypeError, AttributeError) as exc:
-        result = {"error": "parse", "detail": str(exc)}
+        text = _dump({"error": "parse", "detail": str(exc)})
         status = 2
-    except SystemExit:
-        raise
     except (ValueError, RegistryError, ArithmeticError, ZeroDivisionError, OSError) as exc:
-        result = {"error": type(exc).__name__, "detail": str(exc)}
+        text = _dump({"error": type(exc).__name__, "detail": str(exc)})
         status = 1
     except Exception as exc:  # never leak a stack trace
-        result = {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}
+        text = _dump({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"})
         status = 1
 
-    text = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    out_path = None
-    for i, a in enumerate(argv):
-        if a == "--output" and i + 1 < len(argv):
-            out_path = argv[i + 1]
-    if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -73,9 +73,6 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

@@ -7,10 +7,14 @@ Sp(m) by diag(1, q^-1, ..., q^(1-m)); this is the only convention for which
 the invariant line ker N carries the eigenvalue q^(1-m) of the Sp(m)
 L-factor.
 
-For fully unramified data the module also builds honest matrices over the
+For I_K-spherical data the module also builds explicit matrices over the
 quadratic scalar ring Q(i)[v]/(v^2 - q) ("Laurent polynomials in v with
-v^2 = q"), from which L-factors and epsilon determinants are recomputed by
-plain linear algebra.  That oracle is what validates the structural
+v^2 = q"): Frobenius is semisimple with eigenvalues in that ring, so the
+model stores Phi as its diagonal next to an integer nilpotent N.  L-factors
+and epsilon determinants are recomputed from these two matrices alone by
+linear algebra over Q: for each eigenvalue lam of Phi, the dimension of
+ker N inside the lam-eigenspace is a rank of columns of N.  That oracle
+never reads the block data, and it is what validates the structural
 formulas, including the Clebsch-Gordan expansion of Sp(a) tensor Sp(b).
 """
 
@@ -31,7 +35,6 @@ from .qexact import (
     GaussianRational,
     LFactor,
     LocalFieldContext,
-    QI_ONE,
     QI_ZERO,
     _half_integer,
     as_q_power,
@@ -171,7 +174,9 @@ def clebsch_gordan(m1: int, m2: int) -> List[Tuple[int, int]]:
 @dataclass(frozen=True)
 class VScalar:
     """u + w*v with v^2 = q; a field since q is never a square in Q(i)
-    unless it is a square in Q, in which case w is normalized away."""
+    unless it is a square in Q, in which case w is normalized away.  The
+    representation is therefore canonical, so field-wise equality and
+    hashing are equality of the numbers."""
 
     q: int
     sqrt_q: Optional[int]
@@ -184,15 +189,6 @@ class VScalar:
             u = u + w.scale(Fraction(ctx.sqrt_q))
             w = QI_ZERO
         return VScalar(ctx.q, ctx.sqrt_q, u, w)
-
-    def __add__(self, other: "VScalar") -> "VScalar":
-        return VScalar(self.q, self.sqrt_q, self.u + other.u, self.w + other.w)
-
-    def __sub__(self, other: "VScalar") -> "VScalar":
-        return VScalar(self.q, self.sqrt_q, self.u - other.u, self.w - other.w)
-
-    def __neg__(self) -> "VScalar":
-        return VScalar(self.q, self.sqrt_q, -self.u, -self.w)
 
     def __mul__(self, other: "VScalar") -> "VScalar":
         qq = GaussianRational.of(self.q)
@@ -218,13 +214,6 @@ class VScalar:
         inv = denom.inverse()
         return VScalar(self.q, self.sqrt_q, self.u * inv, -(self.w * inv))
 
-    def __truediv__(self, other: "VScalar") -> "VScalar":
-        return self * other.inverse()
-
-    def divide_int(self, n: int) -> "VScalar":
-        r = Fraction(1, n)
-        return VScalar(self.q, self.sqrt_q, self.u.scale(r), self.w.scale(r))
-
     def to_exact_scalar(self) -> ExactScalar:
         """Convert a monomial c or c*v back to an ExactScalar; mixed values
         are not scalar-model monomials."""
@@ -233,24 +222,6 @@ class VScalar:
         if self.u.is_zero():
             return ExactScalar(self.w, 1)
         raise ValueError("matrix-oracle value is not a monomial in v")
-
-    def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        if not self.u.is_zero():
-            parts.append(str(self.u))
-        if not self.w.is_zero():
-            parts.append(f"({self.w})*v")
-        return " + ".join(parts)
-
-
-def _v_zero(ctx: LocalFieldContext) -> VScalar:
-    return VScalar.make(ctx, QI_ZERO)
-
-
-def _v_one(ctx: LocalFieldContext) -> VScalar:
-    return VScalar.make(ctx, QI_ONE)
 
 
 def scalar_to_v(x: ExactScalar, ctx: LocalFieldContext) -> VScalar:
@@ -263,254 +234,128 @@ def scalar_to_v(x: ExactScalar, ctx: LocalFieldContext) -> VScalar:
 
 @dataclass(frozen=True)
 class UnramMatrixRep:
-    """Explicit matrices: diagonal frobenius over the v-scalars and a 0/1
-    nilpotent, satisfying r(Phi) N = q^(-1) N r(Phi) for geometric Phi."""
+    """Explicit matrices: the geometric Frobenius Phi, stored as its diagonal
+    over the v-scalars, and an integer nilpotent N, satisfying
+    Phi N = q^(-1) N Phi."""
 
     ctx: LocalFieldContext
-    frobenius: Tuple[Tuple[VScalar, ...], ...]
+    frobenius: Tuple[VScalar, ...]
     nilpotent: Tuple[Tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.frobenius)
 
-    def render_frobenius(self) -> str:
-        """Dense matrix of v-polynomial strings, for debugging."""
-        return "\n".join("  ".join(e.render() for e in row) for row in self.frobenius)
-
     def __post_init__(self):
         n = len(self.frobenius)
-        if any(len(row) != n for row in self.frobenius) or len(self.nilpotent) != n:
+        if len(self.nilpotent) != n or any(len(row) != n for row in self.nilpotent):
             raise ValueError("matrix dimensions disagree")
         qinv = scalar_to_v(ExactScalar.q_power(-1), self.ctx)
-        # Weil-Deligne relation at Frobenius: Phi N = q^(-1) N Phi
-        for i in range(n):
-            for j in range(n):
-                left = _v_zero(self.ctx)
-                right = _v_zero(self.ctx)
-                for k in range(n):
-                    left = left + self.frobenius[i][k] * _int_v(self.ctx, self.nilpotent[k][j])
-                    right = right + _int_v(self.ctx, self.nilpotent[i][k]) * self.frobenius[k][j]
-                if not (left - qinv * right).is_zero():
-                    raise ValueError("matrices violate the Weil-Deligne relation")
-
-
-def _int_v(ctx: LocalFieldContext, n: int) -> VScalar:
-    return VScalar.make(ctx, GaussianRational.of(n))
+        # (Phi N - q^(-1) N Phi)_ij = N_ij (d_i - q^(-1) d_j) for Phi = diag(d)
+        for i, row in enumerate(self.nilpotent):
+            for j, entry in enumerate(row):
+                if entry and self.frobenius[i] != qinv * self.frobenius[j]:
+                    raise ValueError(
+                        f"matrices violate the Weil-Deligne relation at N[{i}][{j}]"
+                    )
 
 
 def explicit_unramified(rho: WDRep, ctx: LocalFieldContext) -> UnramMatrixRep:
     """Assemble the block-diagonal matrix model of an I_K-spherical rho."""
+    qinv = scalar_to_v(ExactScalar.q_power(-1), ctx)
     diag: List[VScalar] = []
-    dim = 0
     nil_entries: List[Tuple[int, int]] = []
     for b in rho.blocks:
         if not b.atom.label.is_unramified_char():
             raise ValueError("oracle undefined: non-unramified atom present")
-        alpha = scalar_to_v(b.atom.value_at_uniformizer(), ctx)
-        qinv = scalar_to_v(ExactScalar.q_power(-1), ctx)
-        val = alpha
+        val = scalar_to_v(b.atom.value_at_uniformizer(), ctx)
         for i in range(b.m):
+            if i:
+                nil_entries.append((len(diag), len(diag) - 1))
             diag.append(val)
-            if i + 1 < b.m:
-                nil_entries.append((dim + i + 1, dim + i))
             val = val * qinv
-        dim += b.m
-    zero = _v_zero(ctx)
-    frob = tuple(
-        tuple(diag[i] if i == j else zero for j in range(dim)) for i in range(dim)
-    )
+    dim = len(diag)
     nil = [[0] * dim for _ in range(dim)]
     for i, j in nil_entries:
         nil[i][j] = 1
-    return UnramMatrixRep(ctx, frob, tuple(tuple(row) for row in nil))
+    return UnramMatrixRep(ctx, tuple(diag), tuple(tuple(row) for row in nil))
 
 
 def dual_matrix_rep(rep: UnramMatrixRep) -> UnramMatrixRep:
-    """Contragredient in the matrix model: Phi -> Phi^(-T) and N -> N^T (the
-    sign of -N^T does not change kernels or determinants, and dropping it
-    keeps the 0/1 entry convention)."""
-    ctx = rep.ctx
+    """Contragredient in the matrix model: Phi -> Phi^(-1) entrywise on the
+    diagonal and N -> N^T (the sign of -N^T does not change kernels or
+    determinants, and dropping it keeps the 0/1 entry convention)."""
     n = rep.dimension
-    zero = _v_zero(ctx)
-    frob = tuple(
-        tuple(rep.frobenius[i][i].inverse() if i == j else zero for j in range(n))
-        for i in range(n)
-    )
+    frob = tuple(d.inverse() for d in rep.frobenius)
     nil = tuple(tuple(rep.nilpotent[j][i] for j in range(n)) for i in range(n))
-    return UnramMatrixRep(ctx, frob, nil)
+    return UnramMatrixRep(rep.ctx, frob, nil)
 
 
 def tensor_matrix_rep(r1: UnramMatrixRep, r2: UnramMatrixRep) -> UnramMatrixRep:
-    """Kronecker product of the Frobenii; N = N1 (x) 1 + 1 (x) N2."""
-    ctx = r1.ctx
+    """Kronecker product of the Frobenius diagonals; N = N1 (x) 1 + 1 (x) N2."""
     n1, n2 = r1.dimension, r2.dimension
     n = n1 * n2
-    zero = _v_zero(ctx)
-    frob = [[zero] * n for _ in range(n)]
+    frob = tuple(d1 * d2 for d1 in r1.frobenius for d2 in r2.frobenius)
     nil = [[0] * n for _ in range(n)]
     for i1 in range(n1):
         for i2 in range(n2):
             col = i1 * n2 + i2
-            frob[col][col] = r1.frobenius[i1][i1] * r2.frobenius[i2][i2]
             for j1 in range(n1):
-                if r1.nilpotent[j1][i1]:
-                    nil[j1 * n2 + i2][col] += 1
+                nil[j1 * n2 + i2][col] += r1.nilpotent[j1][i1]
             for j2 in range(n2):
-                if r2.nilpotent[j2][i2]:
-                    nil[i1 * n2 + j2][col] += 1
-    return UnramMatrixRep(ctx, tuple(tuple(r) for r in frob), tuple(tuple(r) for r in nil))
+                nil[i1 * n2 + j2][col] += r2.nilpotent[j2][i2]
+    return UnramMatrixRep(r1.ctx, frob, tuple(tuple(r) for r in nil))
 
 
-def _rational_nullspace(mat: Sequence[Sequence[int]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Kernel basis of an integer matrix over Q, plus the free-column
-    indices; each basis vector has a unit at its own free index."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: List[int] = []
-    r = 0
+def _rational_rank(mat: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in mat if any(row)]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
     for col in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -rows[pr][fc]
-        basis.append(vec)
-    return basis, free
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                factor = rows[i][col] / pivot[col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
 
 
-def _charpoly(mat: List[List[VScalar]], ctx: LocalFieldContext) -> List[VScalar]:
-    """Monic characteristic polynomial det(T I - M), coefficients ascending,
-    via Faddeev-LeVerrier (valid over any Q-algebra)."""
-    k = len(mat)
-    one = _v_one(ctx)
-    zero = _v_zero(ctx)
-    if k == 0:
-        return [one]
-    coeffs = [zero] * (k + 1)
-    coeffs[k] = one
-    current = [list(row) for row in mat]
-    for step in range(1, k + 1):
-        trace = zero
-        for i in range(k):
-            trace = trace + current[i][i]
-        c = (-(one)) * trace.divide_int(step)
-        coeffs[k - step] = c
-        if step == k:
-            break
-        # current <- M (current + c I)
-        shifted = [[current[i][j] + (c if i == j else zero) for j in range(k)] for i in range(k)]
-        nxt = [[zero] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                acc = zero
-                for t in range(k):
-                    acc = acc + mat[i][t] * shifted[t][j]
-                nxt[i][j] = acc
-        current = nxt
-    return coeffs
+def _eigenspace_kernels(rep: UnramMatrixRep) -> List[Tuple[VScalar, int, int]]:
+    """(lam, dim V_lam, dim(ker N cap V_lam)) for each eigenvalue lam of Phi.
 
-
-def _poly_eval(coeffs: List[VScalar], x: VScalar, ctx: LocalFieldContext) -> VScalar:
-    acc = _v_zero(ctx)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs: List[VScalar], root: VScalar, ctx: LocalFieldContext) -> List[VScalar]:
-    """Divide by (T - root); caller guarantees the remainder vanishes."""
-    out = [None] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + carry * root
-    if not carry.is_zero():
-        raise ValueError("deflation by a non-root")
+    V_lam is spanned by the basis vectors e_j with Phi_jj = lam, so
+    ker N cap V_lam is the kernel of the columns N[:, j] for those j.  The
+    Weil-Deligne relation makes ker N Phi-stable, hence ker N is the direct
+    sum of these intersections and they describe Phi on ker N completely."""
+    cols: Dict[VScalar, List[int]] = {}
+    for j, lam in enumerate(rep.frobenius):
+        cols.setdefault(lam, []).append(j)
+    out = []
+    for lam, js in cols.items():
+        rank = _rational_rank([[row[j] for j in js] for row in rep.nilpotent])
+        out.append((lam, len(js), len(js) - rank))
     return out
 
 
-def _frobenius_on_kernel(rep: UnramMatrixRep) -> Tuple[List[List[VScalar]], List[VScalar]]:
-    """Matrix of Phi restricted to ker N (Phi-stable), in the reduced-echelon
-    kernel basis; also returns the ambient diagonal as root candidates."""
-    ctx = rep.ctx
-    basis, free = _rational_nullspace(rep.nilpotent)
-    k = len(basis)
-    n = rep.dimension
-    diag = [rep.frobenius[i][i] for i in range(n)]
-    mat = [[_v_zero(ctx)] * k for _ in range(k)]
-    for j, vec in enumerate(basis):
-        image = [diag[i] * VScalar.make(ctx, GaussianRational.of(vec[i])) for i in range(n)]
-        # a kernel vector is determined by its free coordinates, so the
-        # expansion of Phi b_j in the basis can be read off there ...
-        coeffs = [image[fr] for fr in free]
-        mat_col = coeffs
-        for r in range(k):
-            mat[r][j] = mat_col[r]
-        # ... provided Phi b_j really lands in the kernel span; verify.
-        for i in range(n):
-            acc = _v_zero(ctx)
-            for r, bvec in enumerate(basis):
-                acc = acc + coeffs[r] * VScalar.make(ctx, GaussianRational.of(bvec[i]))
-            if not (acc - image[i]).is_zero():
-                raise ValueError("Frobenius does not stabilize ker N")
-    return mat, diag
-
-
 def matrix_l(rep: UnramMatrixRep) -> LFactor:
-    """L-factor from the matrices: det(1 - T Phi | ker N)^(-1), computed by
-    factoring the characteristic polynomial of Phi on the kernel.  The
-    candidate eigenvalues are the ambient diagonal entries, and every trial
-    root is verified by exact evaluation before deflating."""
-    ctx = rep.ctx
-    mat, diag = _frobenius_on_kernel(rep)
-    coeffs = _charpoly(mat, ctx)
-    factors: List[Tuple[ExactScalar, int]] = []
-    for cand in diag:
-        while len(coeffs) > 1 and _poly_eval(coeffs, cand, ctx).is_zero():
-            coeffs = _poly_deflate(coeffs, cand, ctx)
-            factors.append((cand.to_exact_scalar(), 1))
-    if len(coeffs) != 1:
-        raise ValueError("oracle could not factor the kernel characteristic polynomial")
-    return LFactor.of(factors)
+    """L-factor from the matrices: det(1 - T Phi | ker N)^(-1), with each
+    eigenvalue lam of Phi counted dim(ker N cap V_lam) times."""
+    return LFactor.of(
+        (lam.to_exact_scalar(), 1)
+        for lam, _, kernel_dim in _eigenspace_kernels(rep)
+        for _ in range(kernel_dim)
+    )
 
 
 def matrix_eps_det(rep: UnramMatrixRep) -> ExactScalar:
-    """det(-Phi | V / ker N) via multiplicativity: det(-Phi|V) divided by
-    det(-Phi|ker N)."""
-    ctx = rep.ctx
-    mat, diag = _frobenius_on_kernel(rep)
-    k = len(mat)
-    n = rep.dimension
-    det_v = _v_one(ctx)
-    for d in diag:
-        det_v = det_v * d
-    coeffs = _charpoly(mat, ctx)
-    det_k = coeffs[0]
-    if k % 2 == 1:
-        det_k = -det_k
-    sign = -1 if (n - k) % 2 == 1 else 1
-    quotient = det_v / det_k
-    out = quotient.to_exact_scalar()
-    return -out if sign < 0 else out
+    """det(-Phi | V / ker N) = prod over lam of (-lam)^(dim V_lam - dim(ker N cap V_lam))."""
+    out = ExactScalar.one()
+    for lam, dim, kernel_dim in _eigenspace_kernels(rep):
+        out = out * (-lam.to_exact_scalar()) ** (dim - kernel_dim)
+    return out

@@ -182,3 +182,20 @@ def test_error_paths():
     # unknown label: module error
     code, out = run_cli(["rec", "--p", "3"], '{"form":"Q","segments":[{"label":"nope","x":[0,1],"m":1}]}')
     assert code == 1
+
+
+def test_unserialisable_result_gives_structured_error():
+    # q^-99999 has more digits than Python converts to a decimal string
+    payload = '{"blocks":[{"label":"1","x":[0,1],"m":100000}]}'
+    code, out = run_cli(["lfactor"], payload)
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error", "detail"} and doc["error"] == "ValueError"
+
+
+def test_output_flag_with_equals(tmp_path):
+    target = tmp_path / "out.json"
+    code, out = run_cli(["lfactor", "--p", "3", f"--output={target}"], SP3)
+    assert code == 0 and out == ""
+    _, expected = run_cli(["lfactor", "--p", "3"], SP3)
+    assert target.read_text() == expected

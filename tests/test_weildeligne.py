@@ -1,12 +1,17 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_class_data, steinberg, trivial_atom
-from padicgl.bzclass import Atom
+import padicgl.weildeligne
+from helpers import make_ctx, random_class_data, steinberg, trivial_atom
+from padicgl.bzclass import Atom, unramified_atom
 from padicgl.langlands import rec_forward
-from padicgl.qexact import ExactScalar, equals_one, lfactors_equal, scalars_equal
+from padicgl.qexact import ExactScalar, LFactor, equals_one, lfactors_equal, scalars_equal
 from padicgl.weildeligne import (
     UnramMatrixRep,
     WDBlock,
@@ -27,7 +32,7 @@ from padicgl.weildeligne import (
     wd_tensor_char,
     wd_twist,
 )
-from padicgl.factors import wd_l_factor, wd_pair_l
+from padicgl.factors import eps_normalize, tate_char, wd_eps, wd_l_factor, wd_pair_l
 
 HALF = Fraction(1, 2)
 
@@ -58,8 +63,6 @@ def test_dual_examples(ctx, registry):
     st3 = rec_forward(steinberg(3, ctx))
     assert wd_dual(st3).key() == st3.key()
     alpha = ExactScalar.of(Fraction(2), 0, 1)
-    from padicgl.bzclass import unramified_atom
-
     a = unramified_atom(alpha, ctx)
     d = wd_dual(WDRep((WDBlock(a, 1),)))
     assert equals_one(d.blocks[0].atom.value_at_uniformizer() * alpha, ctx)
@@ -102,8 +105,6 @@ def test_wd_predicates(ctx, registry):
     tau = Atom(registry.resolve("tau2"), Fraction(0))
     assert wd_predicates(WDRep((WDBlock(tau, 1),)), ctx)["irreducible"]
 
-    from padicgl.bzclass import unramified_atom
-
     big = unramified_atom(ExactScalar.of(1, 0, 2), ctx)  # alpha = q
     assert not wd_predicates(WDRep((WDBlock(big, 1),)), ctx)["bounded_frobenius"]
 
@@ -131,8 +132,6 @@ def test_explicit_matrices_sp(ctx):
 
 
 def test_matrix_oracle_matches_structural_l(ctx, registry):
-    from padicgl.bzclass import unramified_atom
-
     rng = random.Random(13)
     values = [ExactScalar.one(), ExactScalar.of(2), ExactScalar.of(0, 1), ExactScalar.of(1, 0, -2)]
     for _ in range(40):
@@ -159,8 +158,7 @@ def test_wd_relation_enforced(ctx):
     # Phi N Phi^(-1) = q^(-1) N fails if N shifts against the weights
     one_v = scalar_to_v(ExactScalar.one(), ctx)
     qinv_v = scalar_to_v(ExactScalar.q_power(-1), ctx)
-    zero_v = scalar_to_v(ExactScalar.of(0), ctx)
-    frob = ((one_v, zero_v), (zero_v, qinv_v))
+    frob = (one_v, qinv_v)
     bad_nil = ((0, 1), (0, 0))  # e_1 -> e_0 raises the weight
     with pytest.raises(ValueError):
         UnramMatrixRep(ctx, frob, bad_nil)
@@ -171,8 +169,6 @@ def test_wd_relation_enforced(ctx):
 def test_dual_oracle_validates_sp_contragredient(ctx):
     # Sp(m)^vee = |.|^(1-m) Sp(m) is a closed form the matrices can check:
     # the structural dual's L-factor must match the transposed-inverse model
-    from padicgl.bzclass import unramified_atom
-
     values = [ExactScalar.one(), ExactScalar.of(2), ExactScalar.of(0, 1)]
     for value in values:
         for m in range(1, 5):
@@ -191,3 +187,83 @@ def test_tensor_oracle_validates_clebsch_gordan(ctx):
             oracle = matrix_l(tensor_matrix_rep(r1, r2))
             structural = wd_pair_l(sp_rep(one, m1), sp_rep(one, m2), ctx)
             assert lfactors_equal(oracle, structural, ctx)
+
+
+def test_hand_built_rep_reads_kernel_per_eigenvalue(ctx):
+    # Phi = diag(1, q^-1, q^-1), N e_0 = e_1 + e_2: not a sum of Sp blocks in
+    # this basis, so ker N meets the q^-1 eigenspace in two dimensions and
+    # ker N^T meets the q eigenspace of the dual in e_1 - e_2 only
+    one_v = scalar_to_v(ExactScalar.one(), ctx)
+    qinv_v = scalar_to_v(ExactScalar.q_power(-1), ctx)
+    rep = UnramMatrixRep(ctx, (one_v, qinv_v, qinv_v), ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
+    qinv = ExactScalar.q_power(-1)
+    assert lfactors_equal(matrix_l(rep), LFactor.of([(qinv, 1), (qinv, 1)]), ctx)
+    assert scalars_equal(matrix_eps_det(rep), ExactScalar.of(-1), ctx)
+    dual = dual_matrix_rep(rep)
+    q = ExactScalar.q_power(1)
+    assert lfactors_equal(matrix_l(dual), LFactor.of([(ExactScalar.one(), 1), (q, 1)]), ctx)
+    assert scalars_equal(matrix_eps_det(dual), -q, ctx)
+
+
+ORACLE_VALUES = [ExactScalar.one(), ExactScalar.of(2), ExactScalar.of(0, 1), ExactScalar.of(1, 0, -2)]
+
+
+@st.composite
+def unramified_reps(draw, ctx, max_dim):
+    blocks = []
+    total = 0
+    while total < max_dim:
+        m = draw(st.integers(1, max_dim - total))
+        value = draw(st.sampled_from(ORACLE_VALUES)).shift(Fraction(draw(st.integers(-2, 2)), 2))
+        blocks.append(WDBlock(unramified_atom(value, ctx), m))
+        total += m
+        if draw(st.booleans()):
+            break
+    return WDRep(tuple(blocks))
+
+
+def tate_eps_part(rho, ctx):
+    """Product of the Tate epsilons of every weight's character; times
+    det(-Phi | V/ker N) it is eps(rho) for I_K-spherical rho."""
+    out = ExactScalar.one()
+    for b in rho.blocks:
+        for i in range(b.m):
+            _, e = tate_char(unramified_atom(b.atom.value_at_uniformizer().shift(-i), ctx), ctx)
+            out = out * e.mono
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), p=st.sampled_from((2, 3, 5)), d=st.integers(0, 2), npsi=st.integers(0, 2))
+def test_matrix_oracle_matches_structural_factors(data, p, d, npsi):
+    ctx = make_ctx(p=p, d=d, n_psi=npsi)
+    rho = data.draw(unramified_reps(ctx, 8))
+    mat = explicit_unramified(rho, ctx)
+    assert mat.dimension == rho.dimension
+    assert lfactors_equal(wd_l_factor(rho, ctx), matrix_l(mat), ctx)
+    eps = eps_normalize(wd_eps(rho, ctx), ctx)
+    assert scalars_equal(eps.mono, tate_eps_part(rho, ctx) * matrix_eps_det(mat), ctx)
+    assert lfactors_equal(wd_l_factor(wd_dual(rho), ctx), matrix_l(dual_matrix_rep(mat)), ctx)
+    sigma = data.draw(unramified_reps(ctx, 8))
+    tensor = tensor_matrix_rep(mat, explicit_unramified(sigma, ctx))
+    assert lfactors_equal(wd_pair_l(rho, sigma, ctx), matrix_l(tensor), ctx)
+
+
+def test_matrix_oracle_never_reads_block_data():
+    # the oracle must recompute L and eps from Phi and N alone: a shortcut
+    # through the blocks would make its agreement with factors.py a tautology
+    tree = ast.parse(inspect.getsource(padicgl.weildeligne))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    forbidden = {"WDRep", "WDBlock", "blocks", "clebsch_gordan"}
+    todo, seen = ["matrix_l", "matrix_eps_det"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert ident not in forbidden, f"{name} touches {ident}"
+            if ident in funcs:
+                todo.append(ident)
+    assert "_eigenspace_kernels" in seen
