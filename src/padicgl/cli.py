@@ -347,10 +347,14 @@ def main(argv=None) -> int:
         status = 1
 
     if args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return status
+        except OSError as exc:
+            text = _dump({"error": type(exc).__name__, "detail": str(exc)})
+            status = 1
+    sys.stdout.write(text)
     return status
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Optional, Sequence, Tuple
 
 from .qexact import _is_prime
 from .wittring import GFRing, find_irreducible
@@ -86,18 +86,23 @@ class UnramWittCarrier:
         return tuple((-x) % self.pN for x in a)
 
     def mul(self, a: Element, b: Element) -> Element:
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % self.pN
-        for i in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[i]
+        return self.dot(((a, b),))
+
+    def dot(self, pairs) -> Element:
+        """sum of a * b over the (a, b) pairs, reduced mod (p^N, F) once."""
+        m, pN = self.m, self.pN
+        prod = [0] * (2 * m - 1)
+        for a, b in pairs:
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        prod[j] += ai * bj
+        for i in range(2 * m - 2, m - 1, -1):
+            c = prod[i] % pN
             if c:
-                prod[i] = 0
-                for j in range(self.m):
-                    prod[i - self.m + j] = (prod[i - self.m + j] - c * self.modulus_low[j]) % self.pN
-        return tuple(prod[: self.m])
+                for j, low in enumerate(self.modulus_low, i - m):
+                    prod[j] -= c * low
+        return tuple([c % pN for c in prod[:m]])
 
     def scalar_mul(self, n: int, a: Element) -> Element:
         return tuple((n * x) % self.pN for x in a)
@@ -247,7 +252,15 @@ class UnramifiedContext:
         imgs = [gen, g1]
         for _ in range(2, self.s):
             imgs.append(carrier.substitute(imgs[-1], g1))
-        object.__setattr__(self, "_sigma_images", tuple(imgs[: max(1, self.s)]))
+        # sigma_K^j is Z/p^N-linear: row t of its matrix holds coefficient t
+        # of sigma_K^j(x^c) for c = 0..m-1
+        matrices = []
+        for img in imgs[: self.s]:
+            powers = [carrier.one()]
+            for _ in range(1, carrier.m):
+                powers.append(carrier.mul(powers[-1], img))
+            matrices.append(tuple(zip(*powers)))
+        object.__setattr__(self, "_sigma_matrices", tuple(matrices))
         if self.s > 1:
             closure = carrier.substitute(imgs[-1], g1)
             if closure != gen:
@@ -272,7 +285,8 @@ class UnramifiedContext:
         j = power % self.s
         if j == 0:
             return a
-        return self.carrier.substitute(a, self._sigma_images[j])
+        pN = self.carrier.pN
+        return tuple(sum(map(mul, a, row)) % pN for row in self._sigma_matrices[j])
 
 
 # ---------------------------------------------------------------------------
@@ -354,78 +368,63 @@ class CyclicAlgebra:
 
     # -- the K_s-column matrix model ------------------------------------------
 
-    def _matrix_of_carrier(self, a: Element) -> List[List[Element]]:
-        carrier = self.ctx.carrier
-        zero = carrier.zero()
-        return [
-            [self.ctx.sigma(a, -(i + 1)) if i == j else zero for j in range(self.s)]
-            for i in range(self.s)
-        ]
-
-    def _matrix_of_pi(self) -> List[List[Element]]:
-        carrier = self.ctx.carrier
-        zero = carrier.zero()
-        mat = [[zero] * self.s for _ in range(self.s)]
-        if self.s == 1:
-            mat[0][0] = carrier.from_int(self.ctx.p ** self.r)
-            return mat
-        for j in range(self.s - 1):
-            mat[j + 1][j] = carrier.one()
-        mat[0][self.s - 1] = carrier.from_int(self.ctx.p ** self.r)
-        return mat
-
-    def _mat_mul(self, a, b):
-        carrier = self.ctx.carrier
-        n = len(a)
-        out = [[carrier.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                if carrier.is_zero(a[i][k]):
-                    continue
-                for j in range(n):
-                    if carrier.is_zero(b[k][j]):
-                        continue
-                    out[i][j] = carrier.add(out[i][j], carrier.mul(a[i][k], b[k][j]))
-        return out
-
     def embed_matrix(self, x: CyclicAlgebraElement) -> Matrix:
-        """Left multiplication in the K_s-column model: sum_j M(a_j) M(Pi)^j."""
+        """Left multiplication in the K_s-column model, entry by entry:
+        M(x)[i][k] = sigma^-(i+1)(a_((i-k) mod s)), times p^r when i < k
+        (the wrap-around of Pi^s = p^r)."""
         carrier = self.ctx.carrier
-        mpi = self._matrix_of_pi()
-        acc = [[carrier.zero()] * self.s for _ in range(self.s)]
-        power = [[carrier.one() if i == j else carrier.zero() for j in range(self.s)] for i in range(self.s)]
-        for j, a in enumerate(x.coeffs):
-            if not carrier.is_zero(a):
-                block = self._mat_mul(self._matrix_of_carrier(a), power)
-                for i in range(self.s):
-                    for k in range(self.s):
-                        acc[i][k] = carrier.add(acc[i][k], block[i][k])
-            power = self._mat_mul(mpi, power)
-        return tuple(tuple(row) for row in acc)
+        p_to_r = self.ctx.p ** self.r
+        out = []
+        for i in range(self.s):
+            twisted = [self.ctx.sigma(a, -(i + 1)) for a in x.coeffs]
+            out.append(tuple(
+                carrier.scalar_mul(p_to_r, twisted[i - k]) if i < k else twisted[i - k]
+                for k in range(self.s)
+            ))
+        return tuple(out)
 
     def reduced_norm_val(self, x: CyclicAlgebraElement) -> Tuple[Element, Fraction]:
         """Nrd = det of the embedded matrix (verified sigma_K-invariant);
-        v_D = v_K(Nrd)/s."""
+        v_D = v_K(Nrd)/s.  The determinant is Bird's division-free one
+        (``_det``): O(s^4) carrier operations, exact although p is not
+        invertible in the carrier."""
         carrier = self.ctx.carrier
-        mat = self.embed_matrix(x)
-        det = carrier.zero()
-        for perm in permutations(range(self.s)):
-            sign = 1
-            seen = list(perm)
-            for i in range(len(seen)):
-                for j in range(i + 1, len(seen)):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = carrier.one()
-            for i in range(self.s):
-                term = carrier.mul(term, mat[i][perm[i]])
-            det = carrier.add(det, term if sign > 0 else carrier.neg(term))
+        det = _det(carrier, self.embed_matrix(x))
         if self.ctx.sigma(det, 1) != det:
             raise ArithmeticError("reduced norm is not sigma_K-invariant")
         v = carrier.valuation(det)
         if v >= self.ctx.precision:
             raise PrecisionError("insufficient precision: reduced norm indistinguishable from 0")
         return det, Fraction(v, self.s)
+
+
+def _det(carrier: UnramWittCarrier, a: Matrix) -> Element:
+    """Division-free determinant (Bird, Inf. Proc. Letters 111, 2011).
+
+    X <- A, then n - 1 times X <- mu(X) A, where mu(X) keeps the strict
+    upper triangle of X and puts -sum_{j > i} X_jj on the diagonal; then
+    det A = (-1)^(n-1) X_00.  mu reads only the upper triangle of X, so
+    only that half of each product is formed, and the last product only
+    its (0, 0) entry.  Zero entries of mu(X) and of A are skipped."""
+    n = len(a)
+    nonzero = [[any(e) for e in row] for row in a]
+    x = a
+    for step in range(1, n):
+        mu = [None] * n
+        tail = carrier.zero()
+        for i in range(n - 1, -1, -1):
+            row = [(i, carrier.neg(tail))] + [(k, x[i][k]) for k in range(i + 1, n)]
+            mu[i] = [(k, e) for k, e in row if any(e)]
+            tail = carrier.add(tail, x[i][i])
+
+        def entry(i, j):
+            return carrier.dot((e, a[k][j]) for k, e in mu[i] if nonzero[k][j])
+
+        if step == n - 1:
+            x = [[entry(0, 0)]]
+        else:
+            x = [[None] * i + [entry(i, j) for j in range(i, n)] for i in range(n)]
+    return x[0][0] if n % 2 else carrier.neg(x[0][0])
 
 
 def brauer_invariant(r: int, s: int, ctx: UnramifiedContext) -> Fraction:

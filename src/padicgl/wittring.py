@@ -515,16 +515,19 @@ class WittContext:
         return WittVector(self, (self.ring.one(),) + (self.ring.zero(),) * (self.n - 1))
 
     def from_int(self, value: int) -> "WittVector":
-        """Image of an integer under the unique ring map Z -> W_n(R)."""
+        """Image of an integer under the unique ring map Z -> W_n(R), by
+        double-and-add: O(log |value|) Witt additions and, for a negative
+        value, one negation."""
         out = self.zero()
-        one = self.one()
-        count = value
-        if count < 0:
-            one = -one
-            count = -count
-        for _ in range(count):
-            out = out + one
-        return out
+        power = self.one()  # 2^k for the bit k of |value| being read
+        count = abs(value)
+        while count:
+            if count & 1:
+                out = out + power
+            count >>= 1
+            if count:
+                power = power + power
+        return -out if value < 0 else out
 
     def _p_invertible(self) -> bool:
         return self.ring.p_unit_inverse(self.p) is not None

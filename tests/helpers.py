@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from padicgl.bzclass import (
     Atom,
@@ -156,3 +157,18 @@ def random_nonzero_scalar(rng: random.Random):
         g = random_gaussian(rng)
         if not g.is_zero():
             return ExactScalar(g, rng.randint(-4, 4))
+
+
+def leibniz_det(carrier, mat):
+    """Reference determinant over a carrier ring: the sum over all n!
+    permutations (what the reduced norm used before the division-free
+    determinant)."""
+    n = len(mat)
+    det = carrier.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = carrier.one()
+        for i in range(n):
+            term = carrier.mul(term, mat[i][perm[i]])
+        det = carrier.add(det, carrier.neg(term) if inversions % 2 else term)
+    return det

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -150,6 +151,17 @@ def test_skewfield_subcommand():
     assert json.loads(out)["matrix"][0][1][0] == 2
 
 
+def test_skewfield_large_degree():
+    args = ["skewfield", "--p", "2", "--r", "1", "--s", "11", "--precision", "6"]
+    start = time.perf_counter()
+    code, out = run_cli(args, json.dumps({"op": "invariant"}))
+    assert code == 0 and json.loads(out)["invariant"] == [1, 11]
+    code, out = run_cli(args, json.dumps({"op": "norm", "x": [[3, 1], [2], [0, 5]]}))
+    assert code == 0 and json.loads(out)["vD"] == [0, 1]
+    # a permutation-sum norm would need 11! terms per call
+    assert time.perf_counter() - start < 5.0
+
+
 def test_dieudonne_subcommand():
     code, out = run_cli(["dieudonne", "--p", "2", "--rank", "3", "--etale-height", "1", "--precision", "3"])
     doc = json.loads(out)
@@ -199,3 +211,12 @@ def test_output_flag_with_equals(tmp_path):
     assert code == 0 and out == ""
     _, expected = run_cli(["lfactor", "--p", "3"], SP3)
     assert target.read_text() == expected
+
+
+def test_unwritable_output_gives_structured_error(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out = run_cli(["lfactor", "--p", "3", "--output", str(target)], SP3)
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error", "detail"} and doc["error"] == "FileNotFoundError"
+    assert not target.exists()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,12 +8,16 @@ from padicgl.cyclicalg import (
     CyclicAlgebra,
     PrecisionError,
     UnramifiedContext,
+    _det,
+    _mat_mul,
     brauer_invariant,
     dieudonne_standard,
     etale_inf_height,
     v_power_matrix,
 )
 from padicgl.wittring import GFRing, WittContext
+
+from helpers import leibniz_det
 
 
 def rand_alg_elem(alg, rng):
@@ -129,14 +134,14 @@ def test_embed_matrix_u_relations():
 
 
 def test_embed_multiplicative_random():
-    ctx = UnramifiedContext(3, 1, 2, 4)
-    alg = CyclicAlgebra(ctx, 1)
     rng = random.Random(11)
-    for _ in range(40):
-        x, y = rand_alg_elem(alg, rng), rand_alg_elem(alg, rng)
-        prod = alg._mat_mul(alg.embed_matrix(x), alg.embed_matrix(y))
-        direct = alg.embed_matrix(alg.mul(x, y))
-        assert all(prod[i][j] == direct[i][j] for i in range(2) for j in range(2))
+    for p, s, r, reps in ((3, 2, 1, 40), (2, 5, 2, 10), (3, 6, 5, 6), (2, 7, 3, 6)):
+        ctx = UnramifiedContext(p, 1, s, 4)
+        alg = CyclicAlgebra(ctx, r)
+        for _ in range(reps):
+            x, y = rand_alg_elem(alg, rng), rand_alg_elem(alg, rng)
+            prod = _mat_mul(ctx, alg.embed_matrix(x), alg.embed_matrix(y))
+            assert prod == alg.embed_matrix(alg.mul(x, y))
 
 
 def test_reduced_norm_examples():
@@ -193,6 +198,57 @@ def test_brauer_invariants():
     assert brauer_invariant(1, 2, UnramifiedContext(2, 1, 2, 4)) == Fraction(1, 2)
     assert brauer_invariant(1, 1, UnramifiedContext(2, 1, 1, 4)) == 0
     assert brauer_invariant(2, 3, UnramifiedContext(3, 1, 3, 6)) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("s", range(1, 7))
+def test_det_matches_leibniz(p, s):
+    ctx = UnramifiedContext(p, 1, s, 3)
+    carrier = ctx.carrier
+    rng = random.Random(10 * p + s)
+    for r in [r for r in range(1, 2 * s + 1) if gcd(r, s) == 1][:3]:
+        alg = CyclicAlgebra(ctx, r)
+        for _ in range(2):
+            mat = alg.embed_matrix(rand_alg_elem(alg, rng))
+            assert _det(carrier, mat) == leibniz_det(carrier, mat)
+    # arbitrary matrices, some entries zero
+    for _ in range(3):
+        mat = tuple(
+            tuple(
+                carrier.zero() if rng.random() < 0.3
+                else carrier.element([rng.randrange(carrier.pN) for _ in range(carrier.m)])
+                for _ in range(s)
+            )
+            for _ in range(s)
+        )
+        assert _det(carrier, mat) == leibniz_det(carrier, mat)
+
+
+@pytest.mark.parametrize("p,s,r", [(2, 8, 3), (3, 8, 5), (2, 9, 2), (3, 9, 4)])
+def test_reduced_norm_large_degree(p, s, r):
+    # beyond the reach of a permutation-sum norm (8! and 9! terms)
+    ctx = UnramifiedContext(p, 1, s, r + 1)  # v_K(Nrd) = r for y
+    alg = CyclicAlgebra(ctx, r)
+    carrier = ctx.carrier
+    rng = random.Random(s + r)
+
+    def unit():  # a unit of D: its constant Pi-coefficient is a unit
+        x = rand_alg_elem(alg, rng)
+        return x if carrier.is_unit(x.coeffs[0]) else alg.add(x, alg.one())
+
+    for _ in range(3):
+        x, y = unit(), alg.mul(alg.pi(), unit())
+        nx, vx = alg.reduced_norm_val(x)
+        ny, vy = alg.reduced_norm_val(y)
+        nxy, vxy = alg.reduced_norm_val(alg.mul(x, y))
+        assert all(ctx.sigma(n) == n for n in (nx, ny, nxy))
+        assert nxy == carrier.mul(nx, ny)
+        assert (vx, vy, vxy) == (0, Fraction(r, s), Fraction(r, s))
+
+
+def test_brauer_invariant_degree_11():
+    for r in (1, 4, 10):
+        assert brauer_invariant(r, 11, UnramifiedContext(2, 1, 11, r + 1)) == Fraction(r, 11)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,23 @@ def test_w3_f2_is_z8():
             assert images[a] * images[b] == ctx.from_int((a * b) % 8)
 
 
+def test_from_int_is_the_ring_map():
+    over_z = WittContext(ZZ, 2, 3)
+    assert ghost(over_z.from_int(10 ** 6)) == [10 ** 6] * 3
+    w3f2 = WittContext(F2, 2, 3)
+    for n in range(-20, 21):
+        assert w3f2.from_int(n) == w3f2.from_int(n % 8)
+    # reference: |n| additions of 1 or -1
+    for ctx in (w3f2, WittContext(ZZ, 3, 3), WittContext(ModRing(10), 3, 3)):
+        one = ctx.one()
+        for n in range(-30, 31):
+            step = one if n >= 0 else -one
+            expected = ctx.zero()
+            for _ in range(abs(n)):
+                expected = expected + step
+            assert ctx.from_int(n) == expected
+
+
 def test_frobenius_char_p_is_pth_powers():
     ctx = WittContext(F9, 3, 3)
     rng = random.Random(41)
