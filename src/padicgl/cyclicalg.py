@@ -3,12 +3,14 @@ Dieudonne standard forms.
 
 The carrier for W_N(F_{q^s}) is the unramified-extension model
 (Z/p^N)[x]/(F) with F a deterministic monic lift of an irreducible
-polynomial over F_p.  This is isomorphic to the length-N Witt vectors via
-Teichmuller digits (the test suite exercises that isomorphism against the
-universal-polynomial arithmetic of :mod:`wittring`), but keeps precision-6
-computations cheap.  The Frobenius sigma_K is the unique automorphism
-inducing x -> x^q on the residue field, realized by Hensel-lifting the
-generator image and verified to have exact order s.
+polynomial over F_p (:class:`padicgl.wittring.UnramWittCarrier`, which is
+also the finite field at N = 1).  It is isomorphic to the length-N Witt
+vectors via Teichmuller digits; :mod:`wittring` computes F_{p^r} Witt
+arithmetic through that isomorphism, and the test suite checks the result
+against the universal polynomials, which do not use it.  The Frobenius
+sigma_K is the unique automorphism inducing x -> x^q on the residue field,
+realized by Hensel-lifting the generator image and verified to have exact
+order s.
 
 Only unramified base fields are supported here (pi_K = p); the
 representation-theoretic modules never consume this restriction since they
@@ -21,213 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .qexact import _is_prime
-from .wittring import GFRing, find_irreducible
+from .wittring import Element, UnramWittCarrier
 
-Element = Tuple[int, ...]
 Matrix = Tuple[Tuple[Element, ...], ...]
 
 
 class PrecisionError(ArithmeticError):
     pass
-
-
-class UnramWittCarrier:
-    """(Z/p^N)[x]/(F): exact arithmetic in W_N(F_{p^m})."""
-
-    def __init__(self, p: int, m: int, precision: int, modulus_fp: Optional[Tuple[int, ...]] = None):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if m < 1 or precision < 1:
-            raise ValueError("degree and precision must be >= 1")
-        self.p = p
-        self.m = m
-        self.precision = precision
-        self.pN = p ** precision
-        self.modulus_fp = tuple(modulus_fp) if modulus_fp is not None else find_irreducible(p, m)
-        self.residue = GFRing(p, m, self.modulus_fp)
-        # monic lift with digit coefficients; only the lower part is stored
-        self.modulus_low = tuple(c % p for c in self.modulus_fp[:m])
-        self._frob_gen: Optional[Element] = None
-
-    # -- basic ring structure ------------------------------------------------
-
-    def zero(self) -> Element:
-        return (0,) * self.m
-
-    def one(self) -> Element:
-        return (1 % self.pN,) + (0,) * (self.m - 1)
-
-    def from_int(self, n: int) -> Element:
-        return (n % self.pN,) + (0,) * (self.m - 1)
-
-    def element(self, coeffs: Sequence[int]) -> Element:
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m:
-            raise ValueError("too many coefficients")
-        coeffs += [0] * (self.m - len(coeffs))
-        return tuple(c % self.pN for c in coeffs)
-
-    def gen(self) -> Element:
-        if self.m == 1:
-            # x is a root of the degree-1 modulus: x = -c0
-            return self.from_int(-self.modulus_low[0])
-        return self.element([0, 1])
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % self.pN for x, y in zip(a, b))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % self.pN for x, y in zip(a, b))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % self.pN for x in a)
-
-    def mul(self, a: Element, b: Element) -> Element:
-        return self.dot(((a, b),))
-
-    def dot(self, pairs) -> Element:
-        """sum of a * b over the (a, b) pairs, reduced mod (p^N, F) once."""
-        m, pN = self.m, self.pN
-        prod = [0] * (2 * m - 1)
-        for a, b in pairs:
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b, i):
-                        prod[j] += ai * bj
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i] % pN
-            if c:
-                for j, low in enumerate(self.modulus_low, i - m):
-                    prod[j] -= c * low
-        return tuple([c % pN for c in prod[:m]])
-
-    def scalar_mul(self, n: int, a: Element) -> Element:
-        return tuple((n * x) % self.pN for x in a)
-
-    def pow(self, a: Element, e: int) -> Element:
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def eq(self, a: Element, b: Element) -> bool:
-        return a == b
-
-    def is_zero(self, a: Element) -> bool:
-        return all(c == 0 for c in a)
-
-    # -- valuation and units -------------------------------------------------
-
-    def valuation(self, a: Element) -> int:
-        """v_p, capped at the precision for an element indistinguishable
-        from zero."""
-        best = self.precision
-        for c in a:
-            if c == 0:
-                continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            best = min(best, v)
-        return best
-
-    def reduce_mod_p(self, a: Element):
-        return self.residue.element([c % self.p for c in a])
-
-    def is_unit(self, a: Element) -> bool:
-        return any(c % self.p for c in a)
-
-    def inv_unit(self, a: Element) -> Element:
-        if not self.is_unit(a):
-            raise ZeroDivisionError("not a unit in the carrier")
-        res_inv = self.residue.inverse(self.reduce_mod_p(a))
-        z = self.element(list(res_inv))
-        # Newton: z <- z(2 - a z), doubling p-adic accuracy each step
-        steps = max(1, (self.precision - 1).bit_length() + 1)
-        two = self.from_int(2)
-        for _ in range(steps):
-            z = self.mul(z, self.sub(two, self.mul(a, z)))
-        if not self.eq(self.mul(a, z), self.one()):
-            raise ArithmeticError("Hensel inversion failed")
-        return z
-
-    # -- Frobenius lift ------------------------------------------------------
-
-    def _modulus_eval(self, y: Element) -> Element:
-        acc = self.pow(y, self.m)
-        for i, c in enumerate(self.modulus_low):
-            if c:
-                acc = self.add(acc, self.scalar_mul(c, self.pow(y, i)))
-        return acc
-
-    def _modulus_derivative_eval(self, y: Element) -> Element:
-        acc = self.scalar_mul(self.m, self.pow(y, self.m - 1))
-        for i, c in enumerate(self.modulus_low):
-            if c and i >= 1:
-                acc = self.add(acc, self.scalar_mul(i * c, self.pow(y, i - 1)))
-        return acc
-
-    def frobenius_gen_image(self) -> Element:
-        """Hensel root of the modulus congruent to x^p mod p: the generator
-        image under the canonical lift of a -> a^p."""
-        if self._frob_gen is not None:
-            return self._frob_gen
-        y = self.pow(self.gen(), self.p)
-        for _ in range(max(1, (self.precision - 1).bit_length() + 2)):
-            fy = self._modulus_eval(y)
-            if self.is_zero(fy):
-                break
-            dy = self._modulus_derivative_eval(y)
-            y = self.sub(y, self.mul(fy, self.inv_unit(dy)))
-        if not self.is_zero(self._modulus_eval(y)):
-            raise ArithmeticError("Frobenius lift did not converge")
-        self._frob_gen = y
-        return y
-
-    def substitute(self, a: Element, image: Element) -> Element:
-        """Evaluate a (a polynomial in the generator with integer digits)
-        at the given generator image; since the coefficients are Z/p^N
-        constants this realizes any lift-of-residue automorphism."""
-        acc = self.zero()
-        for c in reversed(a):
-            acc = self.add(self.mul(acc, image), self.from_int(c))
-        return acc
-
-    def base_frobenius(self, a: Element) -> Element:
-        return self.substitute(a, self.frobenius_gen_image())
-
-    # -- Teichmuller bridge to coordinate Witt vectors ------------------------
-
-    def teichmuller(self, res) -> Element:
-        z = self.element(list(res))
-        size = self.residue.size
-        for _ in range(self.precision + 1):
-            nz = self.pow(z, size)
-            if nz == z:
-                break
-            z = nz
-        if self.pow(z, size) != z:
-            raise ArithmeticError("Teichmuller lift did not converge")
-        return z
-
-    def from_witt_coords(self, coords) -> Element:
-        """sum_i p^i [a_i^(p^-i)] -- the classical isomorphism from W_N."""
-        acc = self.zero()
-        for i, a in enumerate(coords):
-            root = a
-            for _ in range(i):
-                # p-th root in F_{p^m}: raise to p^(m-1)
-                root = self.residue.pow(root, self.p ** (self.m - 1))
-            acc = self.add(acc, self.scalar_mul(self.p ** i, self.teichmuller(root)))
-        return acc
 
 
 @dataclass(frozen=True)
@@ -352,9 +156,16 @@ class CyclicAlgebra:
         return CyclicAlgebraElement(self.r, self.s, tuple(out))
 
     def power(self, x: CyclicAlgebraElement, e: int) -> CyclicAlgebraElement:
+        """x^e for e >= 0, by square-and-multiply."""
+        if e < 0:
+            raise ValueError(f"power needs an exponent >= 0, got {e}")
         out = self.one()
-        for _ in range(e):
-            out = self.mul(out, x)
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            e >>= 1
+            if e:
+                x = self.mul(x, x)
         return out
 
     def add(self, x: CyclicAlgebraElement, y: CyclicAlgebraElement) -> CyclicAlgebraElement:
@@ -563,7 +374,7 @@ def etale_inf_height(mod: DieudonneModule) -> Tuple[int, int]:
             if sel is None:
                 continue
             rows[rk], rows[sel] = rows[sel], rows[rk]
-            inv = field.inverse(rows[rk][col])
+            inv = field.inv_unit(rows[rk][col])
             rows[rk] = [field.mul(x, inv) for x in rows[rk]]
             for i in range(nrows):
                 if i != rk and any(rows[i][col]):

@@ -1,11 +1,24 @@
 """Truncated p-typical Witt vectors over exact coefficient rings.
 
-The ring laws are the universal ones: sum, product, negation and Frobenius
-polynomials are generated once per (p, N) over the rationals by solving
-the ghost recursion, checked to have integral coefficients, and then
-specialized into whatever coefficient ring is in play.  Over rings where p
-is invertible the ghost transform gives an independent second route, which
-the tests play against the universal one.
+The ring laws have integer coefficients, so each law can be computed
+wherever it is cheapest and mapped back.  A :class:`WittContext` fixes one
+route per coefficient ring R:
+
+* p invertible in R (Q, Z/m with gcd(p, m) = 1): ghost components in R,
+  the componentwise operation, and the triangular ghost inverse in R.
+* Z, and Z/m with p | m: the coordinates lifted to Z, the same ghost
+  computation over Z with exact division by p^m (the ghost map is injective
+  on the p-torsion-free Z), and the result mapped back into R.  For Z/m
+  the computation is done mod m p^(n-1), which determines the result.
+* F_{p^r}: the Teichmuller bridge W_n(F_{p^r}) = (Z/p^n)[x]/(F) of
+  :class:`UnramWittCarrier` and its inverse, with the operation done in the
+  carrier.
+
+Frobenius is coordinatewise p-th powers in characteristic p, and otherwise
+takes the ghost route above on the length-(n+1) ghost of the zero-extended
+vector.  :func:`universal_polynomials` solves the laws symbolically over Q;
+no runtime path evaluates them (their size grows exponentially with n), and
+the tests use them as the reference the routes are checked against.
 
 Conventions for truncated length N: vectors always carry N coordinates;
 Verschiebung shifts right and drops the top coordinate, and Frobenius uses
@@ -22,6 +35,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .qexact import _is_prime
+
+Element = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +171,6 @@ class ModRing:
             return None
 
 
-def _poly_mul_mod(a: Tuple[int, ...], b: Tuple[int, ...], modulus: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    """Multiply coefficient tuples over F_p modulo a monic modulus."""
-    r = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^r = -(modulus without leading term)
-    for i in range(len(prod) - 1, r - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(r):
-                prod[i - r + j] = (prod[i - r + j] - c * modulus[j]) % p
-    out = prod[:r] + [0] * max(0, r - len(prod))
-    return tuple(out[:r])
-
-
 def _poly_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
     a = a[:]
     out = [0] * max(0, len(a) - len(b) + 1)
@@ -226,120 +222,249 @@ def find_irreducible(p: int, r: int) -> Tuple[int, ...]:
     raise RuntimeError("unreachable: irreducible polynomial exists")
 
 
-class GFRing:
-    """F_{p^r} as F_p[x]/(modulus); elements are coefficient tuples."""
+class UnramWittCarrier:
+    """(Z/p^N)[x]/(F): exact arithmetic in W_N(F_{p^m}).  F is a monic lift
+    with digit coefficients of the irreducible ``modulus_fp`` over F_p; at
+    N = 1 this is the finite field F_{p^m} itself (:class:`GFRing`)."""
 
-    def __init__(self, p: int, r: int, modulus: Optional[Tuple[int, ...]] = None):
+    def __init__(self, p: int, m: int, precision: int, modulus_fp: Optional[Tuple[int, ...]] = None):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if r < 1:
+        if m < 1:
             raise ValueError("extension degree must be >= 1")
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
         self.p = p
-        self.r = r
-        self.modulus = tuple(modulus) if modulus is not None else find_irreducible(p, r)
-        if len(self.modulus) != r + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree r")
-        self.name = f"F_{p**r}"
-        self.size = p ** r
-        self._log: Optional[Dict[Tuple[int, ...], int]] = None
-        self._exp: Optional[List[Tuple[int, ...]]] = None
-        if self.size <= 1024:
-            self._build_log_tables()
+        self.m = m
+        self.precision = precision
+        self.pN = p ** precision
+        self.modulus_fp = tuple(modulus_fp) if modulus_fp is not None else find_irreducible(p, m)
+        if len(self.modulus_fp) != m + 1 or self.modulus_fp[-1] != 1:
+            raise ValueError("modulus must be monic of degree m")
+        self.name = f"F_{p ** m}" if precision == 1 else f"W_{precision}(F_{p ** m})"
+        self.residue = self if precision == 1 else GFRing(p, m, self.modulus_fp)
+        # monic lift with digit coefficients; only the lower part is stored
+        self.modulus_low = tuple(c % p for c in self.modulus_fp[:m])
+        self._frob_gen: Optional[Element] = None
+        self._teichmuller: Dict[Element, Element] = {}
 
-    def _build_log_tables(self):
-        # enumerate elements and find a multiplicative generator
-        order = self.size - 1
-        for seed in self._all_elements():
-            if all(v == 0 for v in seed):
-                continue
-            exps: List[Tuple[int, ...]] = [self.one()]
-            cur = self.one()
-            ok = True
-            for _ in range(order - 1):
-                cur = self.mul(cur, seed)
-                if cur == self.one():
-                    ok = False
-                    break
-                exps.append(cur)
-            if ok and self.mul(cur, seed) == self.one():
-                self._exp = exps
-                self._log = {e: i for i, e in enumerate(exps)}
-                return
-        raise RuntimeError("no generator found in a finite field")
-
-    def _all_elements(self):
-        coords = [0] * self.r
-        while True:
-            yield tuple(coords)
-            i = 0
-            while i < self.r:
-                coords[i] += 1
-                if coords[i] < self.p:
-                    break
-                coords[i] = 0
-                i += 1
-            else:
-                return
+    # -- basic ring structure ------------------------------------------------
 
     def characteristic(self) -> int:
-        return self.p
+        return self.pN
 
-    def zero(self):
-        return (0,) * self.r
+    def zero(self) -> Element:
+        return (0,) * self.m
 
-    def one(self):
-        return (1 % self.p,) + (0,) * (self.r - 1)
+    def one(self) -> Element:
+        return (1 % self.pN,) + (0,) * (self.m - 1)
 
-    def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.r - 1)
+    def from_int(self, n: int) -> Element:
+        return (n % self.pN,) + (0,) * (self.m - 1)
 
-    def element(self, coeffs: Sequence[int]):
+    def element(self, coeffs: Sequence[int]) -> Element:
         coeffs = list(coeffs)
-        if len(coeffs) > self.r:
+        if len(coeffs) > self.m:
             raise ValueError("too many coefficients")
-        coeffs += [0] * (self.r - len(coeffs))
-        return tuple(c % self.p for c in coeffs)
+        coeffs += [0] * (self.m - len(coeffs))
+        return tuple(c % self.pN for c in coeffs)
 
-    def coerce(self, v):
+    def coerce(self, v) -> Element:
         if isinstance(v, int):
             return self.from_int(v)
         if isinstance(v, (tuple, list)):
             return self.element(v)
         raise TypeError(f"cannot coerce {v!r} into {self.name}")
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def p_unit_inverse(self, p: int) -> Optional[Element]:
+        return None if p % self.p == 0 else self.from_int(pow(p, -1, self.pN))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def gen(self) -> Element:
+        if self.m == 1:
+            # x is a root of the degree-1 modulus: x = -c0
+            return self.from_int(-self.modulus_low[0])
+        return self.element([0, 1])
 
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+    def add(self, a: Element, b: Element) -> Element:
+        return tuple((x + y) % self.pN for x, y in zip(a, b))
 
-    def mul(self, a, b):
-        return _poly_mul_mod(a, b, self.modulus, self.p)
+    def sub(self, a: Element, b: Element) -> Element:
+        return tuple((x - y) % self.pN for x, y in zip(a, b))
 
-    def pow(self, a, e: int):
+    def neg(self, a: Element) -> Element:
+        return tuple((-x) % self.pN for x in a)
+
+    def mul(self, a: Element, b: Element) -> Element:
+        return self.dot(((a, b),))
+
+    def dot(self, pairs) -> Element:
+        """sum of a * b over the (a, b) pairs, reduced mod (p^N, F) once."""
+        m, pN = self.m, self.pN
+        prod = [0] * (2 * m - 1)
+        for a, b in pairs:
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        prod[j] += ai * bj
+        for i in range(2 * m - 2, m - 1, -1):
+            c = prod[i] % pN
+            if c:
+                for j, low in enumerate(self.modulus_low, i - m):
+                    prod[j] -= c * low
+        return tuple([c % pN for c in prod[:m]])
+
+    def scalar_mul(self, n: int, a: Element) -> Element:
+        return tuple((n * x) % self.pN for x in a)
+
+    def pow(self, a: Element, e: int) -> Element:
         if e < 0:
-            return self.pow(self.inverse(a), -e)
-        if self._log is not None and any(a):
-            return self._exp[(self._log[a] * e) % (self.size - 1)]
-        out = self.one()
-        base = a
+            return self.pow(self.inv_unit(a), -e)
+        out = None
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = a if out is None else self.mul(out, a)
             e >>= 1
-        return out
+            if e:
+                a = self.mul(a, a)
+        return self.one() if out is None else out
 
-    def inverse(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.pow(a, self.size - 2)
+    def eq(self, a: Element, b: Element) -> bool:
+        return a == b
 
-    def p_unit_inverse(self, p: int):
-        return None
+    def is_zero(self, a: Element) -> bool:
+        return all(c == 0 for c in a)
+
+    # -- valuation and units -------------------------------------------------
+
+    def valuation(self, a: Element) -> int:
+        """v_p, capped at the precision for an element indistinguishable
+        from zero."""
+        best = self.precision
+        for c in a:
+            if c == 0:
+                continue
+            v = 0
+            while c % self.p == 0:
+                c //= self.p
+                v += 1
+            best = min(best, v)
+        return best
+
+    def reduce_mod_p(self, a: Element) -> Element:
+        """The residue of a, as an element of ``self.residue``."""
+        return tuple(c % self.p for c in a)
+
+    def is_unit(self, a: Element) -> bool:
+        return any(c % self.p for c in a)
+
+    def inv_unit(self, a: Element) -> Element:
+        if not self.is_unit(a):
+            raise ZeroDivisionError("not a unit in the carrier")
+        # a^(p^m - 2) inverts a mod p, since a^(p^m - 1) = 1 in F_{p^m}
+        z = self.pow(a, self.p ** self.m - 2)
+        # Newton: z <- z(2 - a z), doubling p-adic accuracy each step
+        steps = max(1, (self.precision - 1).bit_length() + 1)
+        two = self.from_int(2)
+        for _ in range(steps):
+            z = self.mul(z, self.sub(two, self.mul(a, z)))
+        if not self.eq(self.mul(a, z), self.one()):
+            raise ArithmeticError("Hensel inversion failed")
+        return z
+
+    # -- Frobenius lift ------------------------------------------------------
+
+    def _modulus_eval(self, y: Element) -> Element:
+        acc = self.pow(y, self.m)
+        for i, c in enumerate(self.modulus_low):
+            if c:
+                acc = self.add(acc, self.scalar_mul(c, self.pow(y, i)))
+        return acc
+
+    def _modulus_derivative_eval(self, y: Element) -> Element:
+        acc = self.scalar_mul(self.m, self.pow(y, self.m - 1))
+        for i, c in enumerate(self.modulus_low):
+            if c and i >= 1:
+                acc = self.add(acc, self.scalar_mul(i * c, self.pow(y, i - 1)))
+        return acc
+
+    def frobenius_gen_image(self) -> Element:
+        """Hensel root of the modulus congruent to x^p mod p: the generator
+        image under the canonical lift of a -> a^p."""
+        if self._frob_gen is not None:
+            return self._frob_gen
+        y = self.pow(self.gen(), self.p)
+        for _ in range(max(1, (self.precision - 1).bit_length() + 2)):
+            fy = self._modulus_eval(y)
+            if self.is_zero(fy):
+                break
+            dy = self._modulus_derivative_eval(y)
+            y = self.sub(y, self.mul(fy, self.inv_unit(dy)))
+        if not self.is_zero(self._modulus_eval(y)):
+            raise ArithmeticError("Frobenius lift did not converge")
+        self._frob_gen = y
+        return y
+
+    def substitute(self, a: Element, image: Element) -> Element:
+        """Evaluate a (a polynomial in the generator with integer digits)
+        at the given generator image; since the coefficients are Z/p^N
+        constants this realizes any lift-of-residue automorphism."""
+        acc = self.zero()
+        for c in reversed(a):
+            acc = self.add(self.mul(acc, image), self.from_int(c))
+        return acc
+
+    def base_frobenius(self, a: Element) -> Element:
+        return self.substitute(a, self.frobenius_gen_image())
+
+    # -- Teichmuller bridge to coordinate Witt vectors ------------------------
+
+    def teichmuller(self, res) -> Element:
+        """[res]: the root of z^(p^m) = z congruent to res mod p (cached)."""
+        z = self.element(list(res))
+        lift = self._teichmuller.get(z)
+        if lift is not None:
+            return lift
+        key, size = z, self.p ** self.m
+        for _ in range(self.precision + 1):
+            nz = self.pow(z, size)
+            if nz == z:
+                break
+            z = nz
+        if self.pow(z, size) != z:
+            raise ArithmeticError("Teichmuller lift did not converge")
+        self._teichmuller[key] = z
+        return z
+
+    def from_witt_coords(self, coords) -> Element:
+        """sum_i p^i [a_i^(p^-i)] -- the classical isomorphism from W_N."""
+        acc = self.zero()
+        for i, a in enumerate(coords):
+            # p^i-th root in F_{p^m}: raise to p^(-i mod m)
+            root = self.residue.pow(a, self.p ** (-i % self.m))
+            acc = self.add(acc, self.scalar_mul(self.p ** i, self.teichmuller(root)))
+        return acc
+
+    def to_witt_coords(self, a: Element) -> Tuple[Element, ...]:
+        """Inverse of :meth:`from_witt_coords`: peel off the Teichmuller
+        digits of a = sum_i p^i [t_i] (t_i = the residue of
+        (a - sum_{j<i} p^j [t_j]) / p^i) and return the coordinates
+        t_i^(p^i)."""
+        coords = []
+        for i in range(self.precision):
+            scale = self.p ** i
+            digit = tuple((c // scale) % self.p for c in a)
+            a = self.sub(a, self.scalar_mul(scale, self.teichmuller(digit)))
+            coords.append(self.residue.pow(digit, self.p ** (i % self.m)))
+        return tuple(coords)
+
+
+class GFRing(UnramWittCarrier):
+    """F_{p^r} = F_p[x]/(modulus): the carrier at precision 1; elements are
+    coefficient tuples."""
+
+    def __init__(self, p: int, r: int, modulus: Optional[Tuple[int, ...]] = None):
+        super().__init__(p, r, 1, modulus)
+        self.r = r
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +570,8 @@ _UNIVERSAL_CACHE: Dict[Tuple[int, int], Dict[str, List[MPoly]]] = {}
 
 def universal_polynomials(p: int, n: int) -> Dict[str, List[MPoly]]:
     """Sum, product, negation and Frobenius laws for W_n, solved over Q from
-    the ghost recursion and verified integral before use."""
+    the ghost recursion and verified integral: the reference the tests
+    compare the runtime routes against."""
     key = (p, n)
     cached = _UNIVERSAL_CACHE.get(key)
     if cached is not None:
@@ -490,6 +616,7 @@ def universal_polynomials(p: int, n: int) -> Dict[str, List[MPoly]]:
 # Witt vectors
 
 
+
 @dataclass(frozen=True)
 class WittContext:
     ring: object
@@ -501,6 +628,21 @@ class WittContext:
             raise ValueError(f"{self.p} is not prime")
         if self.n < 1:
             raise ValueError("truncation length must be >= 1")
+        # the route of the ring laws (module docstring): the ring in which
+        # ghost components are taken, or the carrier of the Teichmuller bridge
+        ring, ghost_ring, bridge = self.ring, None, None
+        if ring.p_unit_inverse(self.p) is not None or isinstance(ring, IntegerRing):
+            ghost_ring = ring
+        elif isinstance(ring, ModRing):
+            # p | m: a = b mod m implies a^(p^j) = b^(p^j) mod m p^j, so the
+            # lift needs only Z/(m p^(n-1)), not Z with its growing powers
+            ghost_ring = ModRing(ring.m * self.p ** (self.n - 1))
+        elif isinstance(ring, UnramWittCarrier) and ring.characteristic() == self.p:
+            bridge = UnramWittCarrier(self.p, ring.m, self.n, ring.modulus_fp)
+        else:
+            raise ValueError(f"no Witt vector arithmetic over {getattr(ring, 'name', ring)} at p = {self.p}")
+        object.__setattr__(self, "_ghost_ring", ghost_ring)
+        object.__setattr__(self, "_bridge", bridge)
 
     def vector(self, coords: Sequence) -> "WittVector":
         coords = tuple(self.ring.coerce(c) for c in coords)
@@ -529,8 +671,34 @@ class WittContext:
                 power = power + power
         return -out if value < 0 else out
 
-    def _p_invertible(self) -> bool:
-        return self.ring.p_unit_inverse(self.p) is not None
+    def _apply(self, law: str, *coords) -> "WittVector":
+        """The ring law ``law`` ("add", "mul" or "neg") on coordinate tuples."""
+        bridge = self._bridge
+        if bridge is not None:
+            out = getattr(bridge, law)(*(bridge.from_witt_coords(c) for c in coords))
+            return WittVector(self, bridge.to_witt_coords(out))
+        ring = self._ghost_ring
+        ghosts = [[witt_polynomial(self.p, m, c, ring) for m in range(self.n)] for c in coords]
+        return self._from_ghost([getattr(ring, law)(*g) for g in zip(*ghosts)])
+
+    def _from_ghost(self, components: Sequence) -> "WittVector":
+        """Solve w_m(x) = components[m] over the ghost ring -- the ring
+        itself when p is invertible there, else Z or Z/(m p^(n-1)), where the
+        division by p^m must be exact -- and map x into the ring."""
+        ring, p = self._ghost_ring, self.p
+        pinv = ring.p_unit_inverse(p)
+        coords: List = []
+        for m, acc in enumerate(components):
+            for i in range(m):
+                acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(coords[i], p ** (m - i))))
+            if pinv is not None:
+                coords.append(ring.mul(acc, ring.pow(pinv, m)))
+                continue
+            quotient, rest = divmod(acc, p ** m)
+            if rest:
+                raise ArithmeticError(f"W_{self.n} at p = {p}: coordinate {m} of the lift is not integral")
+            coords.append(quotient)
+        return WittVector(self, tuple(self.ring.coerce(c) for c in coords))
 
 
 @dataclass(frozen=True)
@@ -541,34 +709,16 @@ class WittVector:
     def _binary(self, other: "WittVector", law: str) -> "WittVector":
         if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ValueError("Witt vectors from different contexts")
-        ctx = self.ctx
-        if ctx._p_invertible():
-            ga = ghost(self)
-            gb = ghost(other)
-            ring = ctx.ring
-            if law == "sum":
-                gc = [ring.add(a, b) for a, b in zip(ga, gb)]
-            else:
-                gc = [ring.mul(a, b) for a, b in zip(ga, gb)]
-            return ghost_inverse(ctx, gc)
-        polys = universal_polynomials(ctx.p, ctx.n)[law]
-        values = list(self.coords) + list(other.coords)
-        return WittVector(ctx, tuple(poly.evaluate(ctx.ring, values) for poly in polys))
+        return self.ctx._apply(law, self.coords, other.coords)
 
     def __add__(self, other: "WittVector") -> "WittVector":
-        return self._binary(other, "sum")
+        return self._binary(other, "add")
 
     def __mul__(self, other: "WittVector") -> "WittVector":
-        return self._binary(other, "prod")
+        return self._binary(other, "mul")
 
     def __neg__(self) -> "WittVector":
-        ctx = self.ctx
-        if ctx._p_invertible():
-            ring = ctx.ring
-            return ghost_inverse(ctx, [ring.neg(a) for a in ghost(self)])
-        polys = universal_polynomials(ctx.p, ctx.n)["neg"]
-        values = list(self.coords) + [ctx.ring.zero()] * ctx.n
-        return WittVector(ctx, tuple(poly.evaluate(ctx.ring, values) for poly in polys))
+        return self.ctx._apply("neg", self.coords)
 
     def __sub__(self, other: "WittVector") -> "WittVector":
         return self + (-other)
@@ -599,18 +749,11 @@ def ghost(x: WittVector) -> List:
 def ghost_inverse(ctx: WittContext, components: Sequence) -> WittVector:
     """Triangular solve of the ghost equations; requires p invertible."""
     ring = ctx.ring
-    pinv = ring.p_unit_inverse(ctx.p)
-    if pinv is None:
+    if ring.p_unit_inverse(ctx.p) is None:
         raise ValueError(f"p = {ctx.p} is not invertible in {getattr(ring, 'name', ring)}")
     if len(components) != ctx.n:
         raise ValueError("ghost component count mismatch")
-    coords: List = []
-    for m in range(ctx.n):
-        acc = components[m]
-        for i in range(m):
-            acc = ring.sub(acc, ring.mul(ring.from_int(ctx.p ** i), ring.pow(coords[i], ctx.p ** (m - i))))
-        coords.append(ring.mul(acc, ring.pow(pinv, m)))
-    return WittVector(ctx, tuple(coords))
+    return ctx._from_ghost(components)
 
 
 def verschiebung(x: WittVector) -> WittVector:
@@ -620,8 +763,9 @@ def verschiebung(x: WittVector) -> WittVector:
 
 
 def frobenius(x: WittVector) -> WittVector:
-    """sigma: coordinatewise p-th powers in characteristic p, otherwise the
-    universal Frobenius polynomials with zero-extended top coordinate."""
+    """sigma: coordinatewise p-th powers in characteristic p; otherwise the
+    vector whose ghost components are w_1, ..., w_n of the zero-extended
+    (x_0, ..., x_{n-1}, 0)."""
     ctx = x.ctx
     ring = ctx.ring
     char = ring.characteristic()
@@ -636,6 +780,5 @@ def frobenius(x: WittVector) -> WittVector:
                 f"frobenius unsupported over {getattr(ring, 'name', ring)}: "
                 f"p divides the characteristic, which is not a power of p"
             )
-    polys = universal_polynomials(ctx.p, ctx.n)["frob"]
-    values = list(x.coords) + [ring.zero()]
-    return WittVector(ctx, tuple(poly.evaluate(ring, values) for poly in polys))
+    values = x.coords + (ctx._ghost_ring.zero(),)
+    return ctx._from_ghost([witt_polynomial(ctx.p, m, values, ctx._ghost_ring) for m in range(1, ctx.n + 1)])

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,17 +7,19 @@ import time
 import pytest
 
 from helpers import REGISTRY_DOC
+from padicgl.cli import main
+from padicgl.wittring import GFRing, IntegerRing, WittContext, ghost
 
 ST2 = '{"form":"Q","segments":[{"label":"1","x":[-1,2],"m":2}]}'
 SP3 = '{"blocks":[{"label":"1","x":[0,1],"m":3}]}'
 
 
-def run_cli(args, payload=None, registry_path=None):
+def run_cli(args, payload=None, registry_path=None, timeout=None):
     cmd = [sys.executable, "-m", "padicgl.cli"] + args
     if registry_path:
         cmd += ["--registry", str(registry_path)]
     proc = subprocess.run(
-        cmd, input=payload or "", capture_output=True, text=True
+        cmd, input=payload or "", capture_output=True, text=True, timeout=timeout
     )
     return proc.returncode, proc.stdout
 
@@ -134,6 +137,25 @@ def test_witt_subcommand():
     assert json.loads(out)["result"] == 5
 
 
+@pytest.mark.parametrize("ring,p,x,y", [
+    (IntegerRing(), 2, [3, -2, 5, 1, -4, 2, 7], [-1, 4, 2, -3, 6, 1, -5]),
+    (GFRing(3, 2), 3, [[1, 2], [0, 1], [2, 2], [1, 0], [2, 1]], [[2, 1], [1, 1], [0, 2], [2, 0], [1, 2]]),
+])
+def test_witt_lengths_beyond_the_universal_laws(ring, p, x, y):
+    # W_7 over Z at p = 2 and W_5(F_9): the universal laws for these take
+    # minutes to build
+    spec = "Z" if isinstance(ring, IntegerRing) else f"Fq:{ring.r}"
+    args = ["witt", "--ring", spec, "--p", str(p), "--length", str(len(x))]
+    start = time.perf_counter()
+    code, out = run_cli(args, json.dumps({"op": "mul", "x": x, "y": y}), timeout=60)
+    assert code == 0 and time.perf_counter() - start < 5.0
+    ctx = WittContext(ring, p, len(x))
+    product = ctx.vector(x) * ctx.vector(y)
+    assert json.loads(out)["result"] == [list(c) if isinstance(c, tuple) else c for c in product.coords]
+    if isinstance(ring, IntegerRing):  # the ghost map is injective over Z
+        assert ghost(product) == [a * b for a, b in zip(ghost(ctx.vector(x)), ghost(ctx.vector(y)))]
+
+
 def test_skewfield_subcommand():
     payload = json.dumps({"op": "invariant"})
     code, out = run_cli(["skewfield", "--p", "2", "--r", "1", "--s", "2", "--precision", "4"], payload)
@@ -149,6 +171,21 @@ def test_skewfield_subcommand():
     payload = json.dumps({"op": "embed", "x": [[0], [1]]})
     code, out = run_cli(["skewfield", "--p", "2", "--r", "1", "--s", "2", "--precision", "4"], payload)
     assert json.loads(out)["matrix"][0][1][0] == 2
+
+
+def test_skewfield_pi_power(monkeypatch, capsys):
+    args = ["skewfield", "--p", "2", "--r", "1", "--s", "3", "--precision", "6"]
+    for e in (10, 10 ** 9):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"op": "pi-power", "e": e})))
+        start = time.perf_counter()
+        assert main(args) == 0
+        assert time.perf_counter() - start < 1.0
+        # Pi^e = p^(r floor(e/s)) Pi^(e mod s); coefficients live in (Z/2^6)[x]/(F), deg F = 3
+        expected = [[0, 0, 0]] * 3
+        expected[e % 3] = [pow(2, e // 3, 2 ** 6), 0, 0]
+        assert json.loads(capsys.readouterr().out)["coeffs"] == expected
+    code, out = run_cli(args, json.dumps({"op": "pi-power", "e": -1}))
+    assert code == 1 and json.loads(out)["error"] == "ValueError"
 
 
 def test_skewfield_large_degree():

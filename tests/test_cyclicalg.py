@@ -84,6 +84,19 @@ def test_pi_relations():
     assert alg.equal(alg.mul(one, x), x) and alg.equal(alg.mul(x, one), x)
 
 
+@pytest.mark.parametrize("p,s,r", [(2, 3, 1), (3, 4, 3)])
+def test_power_matches_repeated_multiplication(p, s, r):
+    ctx = UnramifiedContext(p, 1, s, 4)
+    alg = CyclicAlgebra(ctx, r)
+    x = rand_alg_elem(alg, random.Random(p * s))
+    expected = alg.one()
+    for e in range(21):
+        assert alg.equal(alg.power(x, e), expected)
+        expected = alg.mul(expected, x)
+    with pytest.raises(ValueError):
+        alg.power(x, -1)
+
+
 def test_coprimality_enforced():
     ctx = UnramifiedContext(2, 1, 2, 3)
     with pytest.raises(ValueError):
@@ -305,7 +318,7 @@ def test_dieudonne_lie_algebra_rank():
                     used[i] = True
                     rank += 1
                     pivot = rows[i]
-                    inv = field.inverse(pivot[col])
+                    inv = field.inv_unit(pivot[col])
                     for k in range(len(rows)):
                         if k != i and any(rows[k][col]):
                             c = field.mul(rows[k][col], inv)

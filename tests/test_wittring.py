@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from padicgl import wittring
 from padicgl.wittring import (
     GFRing,
     IntegerRing,
     ModRing,
     RationalField,
+    UnramWittCarrier,
     WittContext,
     find_irreducible,
     frobenius,
@@ -21,6 +24,8 @@ from padicgl.wittring import (
 QQ = RationalField()
 ZZ = IntegerRing()
 F2 = GFRing(2, 1)
+F4 = GFRing(2, 2)
+F8 = GFRing(2, 3)
 F9 = GFRing(3, 2)
 
 
@@ -76,17 +81,60 @@ def test_addition_examples():
 
 
 def test_universal_matches_ghost_over_q():
-    # same operation through the two independent routes
+    # every runtime route (ghost in the ring, lift to Z, Teichmuller bridge)
+    # against the universal polynomials, which none of them evaluates
     rng = random.Random(9)
-    ctx = WittContext(QQ, 2, 4)
-    polys = universal_polynomials(2, 4)
-    for _ in range(25):
+    refused = {(12, 2), (12, 3), (15, 3)}  # p | char, char not a power of p
+    for p, n in ((2, 3), (2, 4), (3, 3)):
+        polys = universal_polynomials(p, n)
+        fields = (F2, F4, F8) if p == 2 else (F9,)
+        for ring in (QQ, ZZ, ModRing(4), ModRing(8), ModRing(9), ModRing(15), ModRing(12)) + fields:
+            ctx = WittContext(ring, p, n)
+
+            def law(name, values):
+                return tuple(poly.evaluate(ring, values) for poly in polys[name])
+
+            for _ in range(5):
+                x, y = rand_vec(ctx, rng), rand_vec(ctx, rng)
+                assert law("sum", x.coords + y.coords) == (x + y).coords
+                assert law("prod", x.coords + y.coords) == (x * y).coords
+                assert law("neg", x.coords + (ring.zero(),) * n) == (-x).coords
+                if (ring.characteristic(), p) in refused:
+                    with pytest.raises(ValueError):
+                        frobenius(x)
+                else:
+                    assert law("frob", x.coords + (ring.zero(),)) == frobenius(x).coords
+
+
+def test_runtime_ops_never_reach_the_universal_laws(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a runtime Witt operation used the universal polynomials")
+
+    monkeypatch.setattr(wittring, "universal_polynomials", refuse)
+    monkeypatch.setattr(wittring.MPoly, "evaluate", refuse)
+    rng = random.Random(43)
+    for ring in (QQ, ZZ, ModRing(8), ModRing(15), F4):
+        ctx = WittContext(ring, 2, 6)
         x, y = rand_vec(ctx, rng), rand_vec(ctx, rng)
-        values = list(x.coords) + list(y.coords)
-        via_polys = tuple(p.evaluate(QQ, values) for p in polys["sum"])
-        assert via_polys == (x + y).coords
-        via_polys = tuple(p.evaluate(QQ, values) for p in polys["prod"])
-        assert via_polys == (x * y).coords
+        for value in (x + y, x * y, -x, frobenius(x), verschiebung(x), ctx.from_int(-37)):
+            assert len(value.coords) == 6
+        assert len(ghost(x)) == 6
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_teichmuller_bridge_round_trip(p, m, n):
+    # exhaustive over W_3(F_4), W_2(F_9) and W_2(F_8) (where a p-th root is
+    # not a p-th power): the bridge is a bijection onto
+    # the carrier and to_witt_coords inverts it
+    carrier = UnramWittCarrier(p, m, n)
+    field = carrier.residue
+    elements = [field.element(c) for c in product(range(p), repeat=m)]
+    images = set()
+    for coords in product(elements, repeat=n):
+        image = carrier.from_witt_coords(coords)
+        images.add(image)
+        assert carrier.to_witt_coords(image) == coords
+    assert len(images) == len(elements) ** n
 
 
 RINGS = [(QQ, 4), (ZZ, 4), (F2, 4), (F9, 3)]
@@ -211,14 +259,14 @@ def test_frobenius_unsupported_mixed_characteristic():
     ctx = WittContext(ModRing(12), 2, 2)
     with pytest.raises(ValueError):
         frobenius(ctx.vector([1, 1]))
-    # over Z/4 (char a power of p) the universal polynomials apply
+    # over Z/4 (char a power of p) Frobenius lifts to Z
     ctx4 = WittContext(ModRing(4), 2, 2)
     frobenius(ctx4.vector([1, 1]))
 
 
 @pytest.mark.parametrize("m,p", [(25, 2), (4, 2), (15, 2), (27, 3)])
 def test_mod_rings(m, p):
-    # gcd(p, m) = 1 uses the ghost route, p | m the universal polynomials
+    # gcd(p, m) = 1 uses the ghost route in Z/m, p | m the lift to Z
     ring = ModRing(m)
     ctx = WittContext(ring, p, 3)
     rng = random.Random(m)
@@ -244,6 +292,22 @@ def test_mod_rings(m, p):
         red = lambda v: ctx.vector([c % m for c in v.coords])
         assert red(a + b) == red(a) + red(b)
         assert red(a * b) == red(a) * red(b)
+
+
+@pytest.mark.parametrize("m,p,n", [(8, 2, 9), (12, 2, 8), (9, 3, 6), (15, 3, 6)])
+def test_mod_rings_match_reduction_from_z(m, p, n):
+    # p | m: the laws work in Z/(m p^(n-1)); the reference is the same law
+    # over Z, reduced mod m, at lengths the universal laws cannot reach
+    ctx, ctxZ = WittContext(ModRing(m), p, n), WittContext(ZZ, p, n)
+    rng = random.Random(m * n)
+    for _ in range(5):
+        a, b = (ctxZ.vector([rng.randint(-20, 20) for _ in range(n)]) for _ in range(2))
+        ra, rb = ctx.vector(a.coords), ctx.vector(b.coords)
+        assert ctx.vector((a + b).coords) == ra + rb
+        assert ctx.vector((a * b).coords) == ra * rb
+        assert ctx.vector((-a).coords) == -ra
+        if m in (8, 9):  # Frobenius is refused when m is not a power of p
+            assert ctx.vector(frobenius(a).coords) == frobenius(ra)
 
 
 def test_find_irreducible_deterministic():
