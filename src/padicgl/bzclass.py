@@ -31,6 +31,8 @@ from .qexact import (
     LocalFieldContext,
     _fraction,
     _half_integer,
+    _p_valuation,
+    canonical_scalar,
     norm_is_one,
 )
 
@@ -100,35 +102,13 @@ def _ur_name(c: GaussianRational, k: int) -> str:
     return f"ur({c.re},{c.im},{k})"
 
 
-def _reduce_half_power(value: ExactScalar, ctx: LocalFieldContext) -> ExactScalar:
-    """Rewrite value with exponent k in {0,1} (k = 0 when q is a square)."""
-    a, r = divmod(value.k, 2)
-    c = value.c.scale(ctx.q_pow(a))
-    if r and ctx.sqrt_q is not None:
-        c = c.scale(Fraction(ctx.sqrt_q))
-        r = 0
-    return ExactScalar(c, r)
-
-
-def _p_valuation(x: Fraction, p: int) -> int:
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def unramified_label(value: ExactScalar, ctx: LocalFieldContext) -> InertialLabel:
     """The canonical label for the unramified character with the given value
     at the uniformizer.  The dual partner (value^(-1)) is wired eagerly."""
     if value.is_zero():
         raise RegistryError("unramified character value must be nonzero")
-    base = _reduce_half_power(value, ctx)
-    inv = _reduce_half_power(value.inverse(), ctx)
+    base = canonical_scalar(value, ctx)
+    inv = canonical_scalar(value.inverse(), ctx)
     name = _ur_name(base.c, base.k)
     dual_name = _ur_name(inv.c, inv.k)
     lab = InertialLabel(name, KIND_UNRAMIFIED, 1, 1, 0, dual_name, base, "1")
@@ -186,7 +166,7 @@ def unramified_atom(value: ExactScalar, ctx: LocalFieldContext) -> Atom:
     """
     if value.is_zero():
         raise RegistryError("unramified character value must be nonzero")
-    e = _p_valuation(value.c.norm_sq(), ctx.p) + value.k * ctx.f
+    e = _p_valuation(value.c.norm_sq(), ctx.p)[0] + value.k * ctx.f
     # pick 2x so that the base value's norm-square valuation lands in [0, f)
     shift2 = (e % ctx.f) - e
     x = Fraction(shift2, 2 * ctx.f)

@@ -388,17 +388,10 @@ def etale_inf_height(mod: DieudonneModule) -> Tuple[int, int]:
     for _ in range(mod.n):
         b = [
             [
-                _row_dot(field, a_bar[i], [sigma_inv_res(b[k][j]) for k in range(mod.n)])
+                field.dot(zip(a_bar[i], [sigma_inv_res(b[k][j]) for k in range(mod.n)]))
                 for j in range(mod.n)
             ]
             for i in range(mod.n)
         ]
     etale = rank(b)
     return etale, mod.n - etale
-
-
-def _row_dot(field, row, col):
-    acc = field.zero()
-    for x, y in zip(row, col):
-        acc = field.add(acc, field.mul(x, y))
-    return acc

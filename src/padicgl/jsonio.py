@@ -22,8 +22,7 @@ from .qexact import (
     GaussianRational,
     LFactor,
     LocalFieldContext,
-    canonical_scalar_form,
-    canonical_scalar_key,
+    canonical_scalar,
 )
 from .weildeligne import WDBlock, WDRep
 
@@ -50,8 +49,8 @@ def fraction_from_json(doc) -> Fraction:
 
 
 def scalar_to_json(x: ExactScalar, ctx: LocalFieldContext) -> Dict:
-    c, r = canonical_scalar_form(x, ctx)
-    return {"re": fraction_to_json(c.re), "im": fraction_to_json(c.im), "k": r}
+    y = canonical_scalar(x, ctx)
+    return {"re": fraction_to_json(y.c.re), "im": fraction_to_json(y.c.im), "k": y.k}
 
 
 def scalar_from_json(doc) -> ExactScalar:
@@ -121,8 +120,7 @@ def wdrep_from_json(doc, registry: LabelRegistry, ctx: LocalFieldContext) -> WDR
 
 
 def lfactor_to_json(l: LFactor, ctx: LocalFieldContext) -> List[Dict]:
-    ordered = sorted(l.factors, key=lambda ft: (ft[1],) + canonical_scalar_key(ft[0], ctx))
-    return [{"a": scalar_to_json(a, ctx), "t": t} for a, t in ordered]
+    return [{"a": scalar_to_json(a, ctx), "t": t} for _, a, t in l.canonical_order(ctx)]
 
 
 def eps_to_json(e: EpsValue, ctx: LocalFieldContext) -> Dict:

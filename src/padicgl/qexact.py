@@ -7,14 +7,16 @@ as a Gaussian rational c together with a half-integer exponent k/2, and
 the representation is deliberately *not* canonical: 3 * q^0 and 1 * q^(1/2)
 denote the same number when q = 9.  Equality therefore always goes through
 the context-aware tests in this module, never through field-wise
-comparison of the raw data.
+comparison of the raw data -- unless both sides were first rewritten by
+:func:`canonical_scalar`, the one place that fixes a canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Iterable, List, Optional, Tuple, Union
 
 FractionLike = Union[int, Fraction, Tuple[int, int]]
 
@@ -120,7 +122,6 @@ class GaussianRational:
 
 QI_ZERO = GaussianRational.of(0)
 QI_ONE = GaussianRational.of(1)
-QI_I = GaussianRational.of(0, 1)
 
 
 @dataclass(frozen=True)
@@ -208,21 +209,21 @@ class ExactScalar:
         return ExactScalar(self.c, self.k + int(2 * w))
 
 
-def canonical_scalar_form(x: ExactScalar, ctx: LocalFieldContext) -> Tuple[GaussianRational, int]:
-    """Reduce to (c', r) with r in {0, 1} denoting c' * q^(r/2); for square q
-    the root is absorbed and r = 0.  Two scalars are equal iff their
-    canonical forms agree."""
+def canonical_scalar(x: ExactScalar, ctx: LocalFieldContext) -> ExactScalar:
+    """x rewritten as c * q^(k/2) with k in {0, 1}; for square q the root is
+    absorbed and k = 0.  Two scalars are equal iff their canonical forms are
+    equal as data."""
     a, r = divmod(x.k, 2)
-    c = x.c.scale(ctx.q_pow(a))
+    c = x.c.scale(ctx.q_pow(a)) if a else x.c
     if r and ctx.sqrt_q is not None:
         c = c.scale(Fraction(ctx.sqrt_q))
         r = 0
-    return c, r
+    return ExactScalar(c, r)
 
 
 def canonical_scalar_key(x: ExactScalar, ctx: LocalFieldContext):
-    c, r = canonical_scalar_form(x, ctx)
-    return (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator, r)
+    y = canonical_scalar(x, ctx)
+    return (y.c.re.numerator, y.c.re.denominator, y.c.im.numerator, y.c.im.denominator, y.k)
 
 
 def scalars_equal(x: ExactScalar, y: ExactScalar, ctx: LocalFieldContext) -> bool:
@@ -239,22 +240,27 @@ def equals_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
     return x.c.re * x.c.re == ctx.q_pow(-x.k)
 
 
+def _p_valuation(x: Fraction, p: int) -> Tuple[int, int, int]:
+    """(v, a, b) with x = p^v * a / b and p dividing neither a nor b; x != 0."""
+    a, b = x.numerator, x.denominator
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    while b % p == 0:
+        b //= p
+        v -= 1
+    return v, a, b
+
+
 def as_q_power(x: ExactScalar, ctx: LocalFieldContext) -> Optional[Fraction]:
     """If x = q^w for a half-integer w, return w, else None."""
     if x.c.im != 0 or x.c.re <= 0:
         return None
-    num, den = x.c.re.numerator, x.c.re.denominator
-    a = 0
-    while num % ctx.p == 0:
-        num //= ctx.p
-        a += 1
-    b = 0
-    while den % ctx.p == 0:
-        den //= ctx.p
-        b += 1
-    if num != 1 or den != 1:
+    v, a, b = _p_valuation(x.c.re, ctx.p)
+    if a != 1 or b != 1:
         return None
-    w = Fraction(x.k, 2) + Fraction(a - b, ctx.f)
+    w = Fraction(x.k, 2) + Fraction(v, ctx.f)
     if (2 * w).denominator != 1:
         return None
     return w
@@ -278,11 +284,8 @@ def render_scalar(x: ExactScalar, ctx: LocalFieldContext) -> str:
     w = as_q_power(neg, ctx)
     if w is not None:
         return "-1" if w == 0 else "-" + _format_exponent(w)
-    c, r = canonical_scalar_form(x, ctx)
-    base = str(c)
-    if r == 0:
-        return base
-    return f"{base} * q^(1/2)"
+    y = canonical_scalar(x, ctx)
+    return str(y.c) if y.k == 0 else f"{y.c} * q^(1/2)"
 
 
 @dataclass(frozen=True)
@@ -367,8 +370,14 @@ class LFactor:
         c = _half_integer(c, "shift")
         return LFactor(tuple((a.shift(-t * c), t) for a, t in self.factors))
 
+    def canonical_order(self, ctx: LocalFieldContext) -> List[Tuple[tuple, ExactScalar, int]]:
+        """(key, a, t) for every factor, sorted by key = (t,) + the canonical
+        key of a; keys are equal iff the factors are."""
+        keyed = [((t,) + canonical_scalar_key(a, ctx), a, t) for a, t in self.factors]
+        return sorted(keyed, key=itemgetter(0))
+
     def canonical_key(self, ctx: LocalFieldContext):
-        return tuple(sorted((t,) + canonical_scalar_key(a, ctx) for a, t in self.factors))
+        return tuple([entry[0] for entry in self.canonical_order(ctx)])
 
     def pole_at(self, s0: FractionLike, ctx: LocalFieldContext) -> Tuple[bool, int]:
         """Pole data at s = s0 (half-integer): a factor (a, t) vanishes there
@@ -389,10 +398,7 @@ def render_lfactor(l: LFactor, ctx: LocalFieldContext) -> str:
     if l.is_one():
         return "1"
     rendered = []
-    for key, (a, t) in sorted(
-        ((((t,) + canonical_scalar_key(a, ctx)), (a, t)) for a, t in l.factors),
-        key=lambda item: item[0],
-    ):
+    for _, a, t in l.canonical_order(ctx):
         tpart = "T" if t == 1 else f"T^{t}"
         coeff = render_scalar(a, ctx)
         body = tpart if coeff == "1" else f"{coeff} {tpart}"

@@ -7,15 +7,15 @@ Sp(m) by diag(1, q^-1, ..., q^(1-m)); this is the only convention for which
 the invariant line ker N carries the eigenvalue q^(1-m) of the Sp(m)
 L-factor.
 
-For I_K-spherical data the module also builds explicit matrices over the
-quadratic scalar ring Q(i)[v]/(v^2 - q) ("Laurent polynomials in v with
-v^2 = q"): Frobenius is semisimple with eigenvalues in that ring, so the
-model stores Phi as its diagonal next to an integer nilpotent N.  L-factors
-and epsilon determinants are recomputed from these two matrices alone by
-linear algebra over Q: for each eigenvalue lam of Phi, the dimension of
-ker N inside the lam-eigenspace is a rank of columns of N.  That oracle
-never reads the block data, and it is what validates the structural
-formulas, including the Clebsch-Gordan expansion of Sp(a) tensor Sp(b).
+For I_K-spherical data the module also builds explicit matrices: Frobenius
+is semisimple with eigenvalues c * q^(k/2), c in Q(i), so the model stores
+Phi as its diagonal of canonical exact scalars (``qexact.canonical_scalar``)
+next to an integer nilpotent N.  L-factors and epsilon determinants are
+recomputed from these two matrices alone by linear algebra over Q: for
+each eigenvalue lam of Phi, the dimension of ker N inside the
+lam-eigenspace is a rank of columns of N.  That oracle never reads the
+block data, and it is what validates the structural formulas, including
+the Clebsch-Gordan expansion of Sp(a) tensor Sp(b).
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from .bzclass import (
 )
 from .qexact import (
     ExactScalar,
-    GaussianRational,
     LFactor,
     LocalFieldContext,
-    QI_ZERO,
     _half_integer,
     as_q_power,
+    canonical_scalar,
     norm_is_one,
 )
 
@@ -168,78 +167,18 @@ def clebsch_gordan(m1: int, m2: int) -> List[Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# scalar ring Q(i)[v]/(v^2 - q) and the explicit matrix model
-
-
-@dataclass(frozen=True)
-class VScalar:
-    """u + w*v with v^2 = q; a field since q is never a square in Q(i)
-    unless it is a square in Q, in which case w is normalized away.  The
-    representation is therefore canonical, so field-wise equality and
-    hashing are equality of the numbers."""
-
-    q: int
-    sqrt_q: Optional[int]
-    u: GaussianRational
-    w: GaussianRational
-
-    @staticmethod
-    def make(ctx: LocalFieldContext, u: GaussianRational, w: GaussianRational = QI_ZERO) -> "VScalar":
-        if ctx.sqrt_q is not None and not w.is_zero():
-            u = u + w.scale(Fraction(ctx.sqrt_q))
-            w = QI_ZERO
-        return VScalar(ctx.q, ctx.sqrt_q, u, w)
-
-    def __mul__(self, other: "VScalar") -> "VScalar":
-        qq = GaussianRational.of(self.q)
-        return VScalar(
-            self.q,
-            self.sqrt_q,
-            self.u * other.u + self.w * other.w * qq,
-            self.u * other.w + self.w * other.u,
-        )
-
-    def is_zero(self) -> bool:
-        return self.u.is_zero() and self.w.is_zero()
-
-    def inverse(self) -> "VScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.w.is_zero():
-            return VScalar(self.q, self.sqrt_q, self.u.inverse(), QI_ZERO)
-        qq = GaussianRational.of(self.q)
-        denom = self.u * self.u - self.w * self.w * qq
-        # u^2 = q*w^2 in Q(i) would force sqrt(q) rational, which the
-        # normalization in make() already excluded
-        inv = denom.inverse()
-        return VScalar(self.q, self.sqrt_q, self.u * inv, -(self.w * inv))
-
-    def to_exact_scalar(self) -> ExactScalar:
-        """Convert a monomial c or c*v back to an ExactScalar; mixed values
-        are not scalar-model monomials."""
-        if self.w.is_zero():
-            return ExactScalar(self.u, 0)
-        if self.u.is_zero():
-            return ExactScalar(self.w, 1)
-        raise ValueError("matrix-oracle value is not a monomial in v")
-
-
-def scalar_to_v(x: ExactScalar, ctx: LocalFieldContext) -> VScalar:
-    a, r = divmod(x.k, 2)
-    c = x.c.scale(ctx.q_pow(a))
-    if r:
-        return VScalar.make(ctx, QI_ZERO, c)
-    return VScalar.make(ctx, c)
+# the explicit matrix model
 
 
 @dataclass(frozen=True)
 class UnramMatrixRep:
     """Explicit matrices: the geometric Frobenius Phi, stored as its diagonal
-    over the v-scalars, and an integer nilpotent N, satisfying
-    Phi N = q^(-1) N Phi."""
+    of exact scalars, and an integer nilpotent N, satisfying
+    Phi N = q^(-1) N Phi.  The diagonal is made canonical on construction,
+    so equal eigenvalues are equal, hashable data."""
 
     ctx: LocalFieldContext
-    frobenius: Tuple[VScalar, ...]
+    frobenius: Tuple[ExactScalar, ...]
     nilpotent: Tuple[Tuple[int, ...], ...]
 
     @property
@@ -247,14 +186,16 @@ class UnramMatrixRep:
         return len(self.frobenius)
 
     def __post_init__(self):
-        n = len(self.frobenius)
+        diag = tuple(canonical_scalar(d, self.ctx) for d in self.frobenius)
+        object.__setattr__(self, "frobenius", diag)
+        n = len(diag)
         if len(self.nilpotent) != n or any(len(row) != n for row in self.nilpotent):
             raise ValueError("matrix dimensions disagree")
-        qinv = scalar_to_v(ExactScalar.q_power(-1), self.ctx)
+        qinv = ExactScalar.q_power(-1)
         # (Phi N - q^(-1) N Phi)_ij = N_ij (d_i - q^(-1) d_j) for Phi = diag(d)
         for i, row in enumerate(self.nilpotent):
             for j, entry in enumerate(row):
-                if entry and self.frobenius[i] != qinv * self.frobenius[j]:
+                if entry and diag[i] != canonical_scalar(qinv * diag[j], self.ctx):
                     raise ValueError(
                         f"matrices violate the Weil-Deligne relation at N[{i}][{j}]"
                     )
@@ -262,13 +203,13 @@ class UnramMatrixRep:
 
 def explicit_unramified(rho: WDRep, ctx: LocalFieldContext) -> UnramMatrixRep:
     """Assemble the block-diagonal matrix model of an I_K-spherical rho."""
-    qinv = scalar_to_v(ExactScalar.q_power(-1), ctx)
-    diag: List[VScalar] = []
+    qinv = ExactScalar.q_power(-1)
+    diag: List[ExactScalar] = []
     nil_entries: List[Tuple[int, int]] = []
     for b in rho.blocks:
         if not b.atom.label.is_unramified_char():
             raise ValueError("oracle undefined: non-unramified atom present")
-        val = scalar_to_v(b.atom.value_at_uniformizer(), ctx)
+        val = b.atom.value_at_uniformizer()
         for i in range(b.m):
             if i:
                 nil_entries.append((len(diag), len(diag) - 1))
@@ -326,14 +267,14 @@ def _rational_rank(mat: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _eigenspace_kernels(rep: UnramMatrixRep) -> List[Tuple[VScalar, int, int]]:
+def _eigenspace_kernels(rep: UnramMatrixRep) -> List[Tuple[ExactScalar, int, int]]:
     """(lam, dim V_lam, dim(ker N cap V_lam)) for each eigenvalue lam of Phi.
 
     V_lam is spanned by the basis vectors e_j with Phi_jj = lam, so
     ker N cap V_lam is the kernel of the columns N[:, j] for those j.  The
     Weil-Deligne relation makes ker N Phi-stable, hence ker N is the direct
     sum of these intersections and they describe Phi on ker N completely."""
-    cols: Dict[VScalar, List[int]] = {}
+    cols: Dict[ExactScalar, List[int]] = {}
     for j, lam in enumerate(rep.frobenius):
         cols.setdefault(lam, []).append(j)
     out = []
@@ -347,7 +288,7 @@ def matrix_l(rep: UnramMatrixRep) -> LFactor:
     """L-factor from the matrices: det(1 - T Phi | ker N)^(-1), with each
     eigenvalue lam of Phi counted dim(ker N cap V_lam) times."""
     return LFactor.of(
-        (lam.to_exact_scalar(), 1)
+        (lam, 1)
         for lam, _, kernel_dim in _eigenspace_kernels(rep)
         for _ in range(kernel_dim)
     )
@@ -357,5 +298,5 @@ def matrix_eps_det(rep: UnramMatrixRep) -> ExactScalar:
     """det(-Phi | V / ker N) = prod over lam of (-lam)^(dim V_lam - dim(ker N cap V_lam))."""
     out = ExactScalar.one()
     for lam, dim, kernel_dim in _eigenspace_kernels(rep):
-        out = out * (-lam.to_exact_scalar()) ** (dim - kernel_dim)
+        out = out * (-lam) ** (dim - kernel_dim)
     return out

@@ -23,7 +23,6 @@ from padicgl.weildeligne import (
     matrix_eps_det,
     matrix_l,
     nilpotent_partition,
-    scalar_to_v,
     sp_block,
     sp_rep,
     tensor_matrix_rep,
@@ -156,9 +155,7 @@ def test_matrix_oracle_rejects_symbolic(ctx, registry):
 
 def test_wd_relation_enforced(ctx):
     # Phi N Phi^(-1) = q^(-1) N fails if N shifts against the weights
-    one_v = scalar_to_v(ExactScalar.one(), ctx)
-    qinv_v = scalar_to_v(ExactScalar.q_power(-1), ctx)
-    frob = (one_v, qinv_v)
+    frob = (ExactScalar.one(), ExactScalar.q_power(-1))
     bad_nil = ((0, 1), (0, 0))  # e_1 -> e_0 raises the weight
     with pytest.raises(ValueError):
         UnramMatrixRep(ctx, frob, bad_nil)
@@ -193,16 +190,34 @@ def test_hand_built_rep_reads_kernel_per_eigenvalue(ctx):
     # Phi = diag(1, q^-1, q^-1), N e_0 = e_1 + e_2: not a sum of Sp blocks in
     # this basis, so ker N meets the q^-1 eigenspace in two dimensions and
     # ker N^T meets the q eigenspace of the dual in e_1 - e_2 only
-    one_v = scalar_to_v(ExactScalar.one(), ctx)
-    qinv_v = scalar_to_v(ExactScalar.q_power(-1), ctx)
-    rep = UnramMatrixRep(ctx, (one_v, qinv_v, qinv_v), ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
     qinv = ExactScalar.q_power(-1)
+    rep = UnramMatrixRep(ctx, (ExactScalar.one(), qinv, qinv), ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
     assert lfactors_equal(matrix_l(rep), LFactor.of([(qinv, 1), (qinv, 1)]), ctx)
     assert scalars_equal(matrix_eps_det(rep), ExactScalar.of(-1), ctx)
     dual = dual_matrix_rep(rep)
     q = ExactScalar.q_power(1)
     assert lfactors_equal(matrix_l(dual), LFactor.of([(ExactScalar.one(), 1), (q, 1)]), ctx)
     assert scalars_equal(matrix_eps_det(dual), -q, ctx)
+
+
+@pytest.mark.parametrize(
+    "p, f, lam, same",
+    [
+        (2, 2, ExactScalar.of(2), ExactScalar.q_power(HALF)),
+        (3, 1, ExactScalar.of(3), ExactScalar.q_power(1)),
+    ],
+)
+def test_eigenvalue_written_two_ways_is_one_eigenspace(p, f, lam, same):
+    # Phi = diag(lam, lam, q^-1 lam) with the first two entries written
+    # differently and the third as lam * q^-1 with k = -2, N e_0 = N e_1 = e_2:
+    # ker N meets V_lam in e_0 - e_1 only if both entries are one eigenvalue
+    ctx = make_ctx(p=p, f=f)
+    rep = UnramMatrixRep(ctx, (lam, same, lam.shift(-1)), ((0, 0, 0), (0, 0, 0), (1, 1, 0)))
+    assert rep.frobenius[0] == rep.frobenius[1]
+    l = matrix_l(rep)
+    assert len(l.factors) == 2
+    assert lfactors_equal(l, LFactor.of([(lam, 1), (lam.shift(-1), 1)]), ctx)
+    assert scalars_equal(matrix_eps_det(rep), -lam, ctx)
 
 
 ORACLE_VALUES = [ExactScalar.one(), ExactScalar.of(2), ExactScalar.of(0, 1), ExactScalar.of(1, 0, -2)]
@@ -234,9 +249,15 @@ def tate_eps_part(rho, ctx):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data(), p=st.sampled_from((2, 3, 5)), d=st.integers(0, 2), npsi=st.integers(0, 2))
-def test_matrix_oracle_matches_structural_factors(data, p, d, npsi):
-    ctx = make_ctx(p=p, d=d, n_psi=npsi)
+@given(
+    data=st.data(),
+    p=st.sampled_from((2, 3, 5)),
+    f=st.sampled_from((1, 2)),
+    d=st.integers(0, 2),
+    npsi=st.integers(0, 2),
+)
+def test_matrix_oracle_matches_structural_factors(data, p, f, d, npsi):
+    ctx = make_ctx(p=p, f=f, d=d, n_psi=npsi)
     rho = data.draw(unramified_reps(ctx, 8))
     mat = explicit_unramified(rho, ctx)
     assert mat.dimension == rho.dimension
