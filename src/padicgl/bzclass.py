@@ -495,7 +495,10 @@ def load_registry(doc, ctx: Optional[LocalFieldContext] = None) -> LabelRegistry
             raise RegistryError(f"label record missing field {exc}") from exc
     products = {}
     for rec in product_docs:
-        products[(rec["left"], rec["right"])] = rec["result"]
+        try:
+            products[(rec["left"], rec["right"])] = rec["result"]
+        except KeyError as exc:
+            raise RegistryError(f"product record missing field {exc}") from exc
     return LabelRegistry(labels, products, ctx)
 
 

@@ -1,7 +1,10 @@
 """Command-line driver with deterministic JSON output.
 
-Exit codes: 0 on success, 1 on module errors (structured {error, detail}),
-2 on parse failures.  Two runs on identical input are byte-identical.
+Each subcommand is declared once, in ``_SUBCOMMANDS``: its handler and the
+flags that handler reads.  Exit codes: 0 on success, 1 on module errors
+(structured {error, detail}), 2 on argparse usage errors and on a payload
+that is not JSON or has a field that does not fit (the detail starts with
+the field's JSON path).  Two runs on identical input are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,15 +14,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .bzclass import (
-    RegistryError,
-    gl_predicates,
-    involution_t,
-    load_registry,
-)
+from .bzclass import gl_predicates, involution_t, load_registry
 from .cyclicalg import (
     CyclicAlgebra,
     UnramifiedContext,
+    _is_scalar_matrix,
     brauer_invariant,
     dieudonne_standard,
     etale_inf_height,
@@ -30,14 +29,19 @@ from .weildeligne import wd_dual
 from .jsonio import (
     DEFAULT_REGISTRY_DOC,
     PayloadError,
+    array,
     atom_from_json,
     class_data_from_json,
     class_data_to_json,
+    digits,
     eps_to_json,
+    field,
     fraction_to_json,
+    integer,
     lfactor_to_json,
     scalar_from_json,
     scalar_to_json,
+    string,
     wdrep_from_json,
     wdrep_to_json,
 )
@@ -64,54 +68,6 @@ from .wittring import (
 )
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--registry", default=None, help="label registry JSON path")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--npsi", type=int, default=0)
-    p.add_argument("--precision", type=int, default=4)
-    p.add_argument("--input", default="-", help="payload JSON path or - for stdin")
-    p.add_argument("--output", default="-", help="output path or - for stdout")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="padicgl")
-    sub = top.add_subparsers(dest="command", required=True)
-    names = [
-        "rec",
-        "rec-inverse",
-        "satake",
-        "lfactor",
-        "lfactor-pair",
-        "eps",
-        "conductor",
-        "dictionary",
-        "involution",
-        "dual",
-        "classify-predicates",
-        "verify",
-        "witt",
-        "skewfield",
-        "dieudonne",
-    ]
-    parsers = {}
-    for name in names:
-        sp = sub.add_parser(name)
-        _common_flags(sp)
-        parsers[name] = sp
-    parsers["conductor"].add_argument("--mode", choices=["artin", "epsDegree"], default="artin")
-    parsers["involution"].add_argument("--resolve", action="store_true")
-    parsers["witt"].add_argument("--ring", default="Q", help="Q, Z, Zmod:m, Fp or Fq:r")
-    parsers["witt"].add_argument("--length", type=int, default=3)
-    parsers["skewfield"].add_argument("--r", type=int, required=True)
-    parsers["skewfield"].add_argument("--s", type=int, required=True)
-    parsers["dieudonne"].add_argument("--rank", type=int, required=True)
-    parsers["dieudonne"].add_argument("--etale-height", type=int, required=True, dest="etale_height")
-    parsers["dieudonne"].add_argument("--residue-degree", type=int, default=1, dest="residue_degree")
-    return top
-
-
 def _read_payload(args):
     if args.input == "-":
         text = sys.stdin.read()
@@ -119,12 +75,8 @@ def _read_payload(args):
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     if not text.strip():
-        return None
+        raise PayloadError("empty payload")
     return json.loads(text)
-
-
-def _context(args) -> LocalFieldContext:
-    return LocalFieldContext(args.p, args.f, args.d, args.npsi)
 
 
 def _registry(args, ctx):
@@ -133,6 +85,88 @@ def _registry(args, ctx):
     with open(args.registry, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return load_registry(doc, ctx)
+
+
+def _langlands(handler):
+    """A Langlands subcommand: handler(args, payload, registry, ctx), given
+    the local field context, then the label registry, then the payload."""
+
+    def run(args):
+        ctx = LocalFieldContext(args.p, args.f, args.d, args.npsi)
+        registry = _registry(args, ctx)
+        return handler(args, _read_payload(args), registry, ctx)
+
+    return run
+
+
+def _rec(args, payload, registry, ctx):
+    return wdrep_to_json(rec_forward(class_data_from_json(payload, registry, ctx)))
+
+
+def _rec_inverse(args, payload, registry, ctx):
+    return class_data_to_json(rec_inverse(wdrep_from_json(payload, registry, ctx)))
+
+
+def _satake(args, payload, registry, ctx):
+    direction = field(payload, "direction", default=None)
+    if direction == "toWD":
+        values = array(field(payload, "values", default=[]), "values", scalar_from_json)
+        return class_data_to_json(satake_class_data(values, ctx))
+    if direction == "fromRep":
+        c = class_data_from_json(field(payload, "data"), registry, ctx, "data")
+        return {"values": [scalar_to_json(v, ctx) for v in satake_parameters(c, ctx)]}
+    raise PayloadError("direction: must be 'toWD' or 'fromRep'")
+
+
+def _lfactor(args, payload, registry, ctx):
+    l = wd_l_factor(wdrep_from_json(payload, registry, ctx), ctx)
+    return {"factors": lfactor_to_json(l, ctx), "rendered": render_lfactor(l, ctx)}
+
+
+def _lfactor_pair(args, payload, registry, ctx):
+    left = class_data_from_json(field(payload, "left"), registry, ctx, "left")
+    right = class_data_from_json(field(payload, "right"), registry, ctx, "right")
+    wd = wd_pair_l(rec_forward(left), rec_forward(right), ctx)
+    inductive = gl_pair_l_inductive(left, right, ctx)
+    return {
+        "factors": lfactor_to_json(wd, ctx),
+        "rendered": render_lfactor(wd, ctx),
+        "inductive_matches_wd": lfactors_equal(wd, inductive, ctx),
+    }
+
+
+def _eps(args, payload, registry, ctx):
+    return eps_to_json(wd_eps(wdrep_from_json(payload, registry, ctx), ctx), ctx)
+
+
+def _conductor(args, payload, registry, ctx):
+    value = conductor(wdrep_from_json(payload, registry, ctx), ctx, args.mode)
+    return {"mode": args.mode, "value": fraction_to_json(value)}
+
+
+def _dictionary(args, payload, registry, ctx):
+    return {"rows": dictionary_report(class_data_from_json(payload, registry, ctx), ctx)}
+
+
+def _involution(args, payload, registry, ctx):
+    c = class_data_from_json(payload, registry, ctx)
+    return class_data_to_json(involution_t(c, resolve=args.resolve))
+
+
+def _dual(args, payload, registry, ctx):
+    if isinstance(payload, dict) and "blocks" in payload:
+        return wdrep_to_json(wd_dual(wdrep_from_json(payload, registry, ctx)))
+    return class_data_to_json(class_data_from_json(payload, registry, ctx).dual())
+
+
+def _classify_predicates(args, payload, registry, ctx):
+    return gl_predicates(class_data_from_json(payload, registry, ctx), ctx)
+
+
+def _verify(args, payload, registry, ctx):
+    c = class_data_from_json(field(payload, "data"), registry, ctx, "data")
+    chi_atom, _ = atom_from_json(field(payload, "chi"), registry, ctx, "chi")
+    return verify_rec_axioms(c, chi_atom, ctx, registry)
 
 
 def _witt_ring(spec: str, p: int):
@@ -149,84 +183,91 @@ def _witt_ring(spec: str, p: int):
     raise PayloadError(f"unknown coefficient ring {spec!r}")
 
 
-def _witt_coords_in(ring, coords):
-    if not isinstance(coords, list):
-        raise PayloadError("witt coordinates must be a JSON array")
-    return [ring.coerce(c if not isinstance(c, str) else Fraction(c)) for c in coords]
+def _witt_coord(ring, c, path):
+    if isinstance(c, list):
+        c = digits(c, path)
+    elif isinstance(c, str):
+        try:
+            c = Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            raise PayloadError(f"{path}: expected a rational number, got {c!r}") from None
+    try:
+        return ring.coerce(c)
+    except TypeError as exc:  # the ring's "cannot coerce"
+        raise PayloadError(f"{path}: {exc}") from None
 
 
-def _witt_coords_out(ring, coords):
-    out = []
-    for c in coords:
-        if isinstance(c, Fraction):
-            out.append(str(c))
-        elif isinstance(c, tuple):
-            out.append(list(c))
-        else:
-            out.append(c)
-    return out
+def _witt_coords_out(coords):
+    return [str(c) if isinstance(c, Fraction) else list(c) if isinstance(c, tuple) else c
+            for c in coords]
 
 
 def _carrier_matrix_out(mat):
     return [[list(e) for e in row] for row in mat]
 
 
-def _run_witt(args, payload):
+_WITT_UNARY = {
+    "neg": lambda x: (-x).coords,
+    "frobenius": lambda x: frobenius(x).coords,
+    "verschiebung": lambda x: verschiebung(x).coords,
+    "ghost": ghost,
+}
+_WITT_BINARY = {
+    "add": lambda x, y: (x + y).coords,
+    "mul": lambda x, y: (x * y).coords,
+}
+
+
+def _witt(args):
+    payload = _read_payload(args)
     ring = _witt_ring(args.ring, args.p)
     wctx = WittContext(ring, args.p, args.length)
-    op = payload.get("op")
-    if op in ("add", "mul"):
-        x = wctx.vector(_witt_coords_in(ring, payload["x"]))
-        y = wctx.vector(_witt_coords_in(ring, payload["y"]))
-        out = x + y if op == "add" else x * y
-        return {"result": _witt_coords_out(ring, out.coords)}
-    if op == "neg":
-        x = wctx.vector(_witt_coords_in(ring, payload["x"]))
-        return {"result": _witt_coords_out(ring, (-x).coords)}
-    if op == "frobenius":
-        x = wctx.vector(_witt_coords_in(ring, payload["x"]))
-        return {"result": _witt_coords_out(ring, frobenius(x).coords)}
-    if op == "verschiebung":
-        x = wctx.vector(_witt_coords_in(ring, payload["x"]))
-        return {"result": _witt_coords_out(ring, verschiebung(x).coords)}
-    if op == "ghost":
-        x = wctx.vector(_witt_coords_in(ring, payload["x"]))
-        return {"result": _witt_coords_out(ring, tuple(ghost(x)))}
-    if op == "ghost-inverse":
-        comps = _witt_coords_in(ring, payload["x"])
-        return {"result": _witt_coords_out(ring, ghost_inverse(wctx, comps).coords)}
-    if op == "witt-polynomial":
-        values = _witt_coords_in(ring, payload["x"])
-        n = int(payload.get("n", len(values) - 1))
-        return {"result": _witt_coords_out(ring, (witt_polynomial(args.p, n, values, ring),))[0]}
-    raise PayloadError(f"unknown witt op {op!r}")
+    op = string(field(payload, "op", default=""), "op")
+
+    def coords(key):
+        return array(field(payload, key), key, lambda c, path: _witt_coord(ring, c, path))
+
+    if op in _WITT_BINARY:
+        out = _WITT_BINARY[op](wctx.vector(coords("x")), wctx.vector(coords("y")))
+    elif op in _WITT_UNARY:
+        out = _WITT_UNARY[op](wctx.vector(coords("x")))
+    elif op == "ghost-inverse":
+        out = ghost_inverse(wctx, coords("x")).coords
+    elif op == "witt-polynomial":
+        values = coords("x")
+        n = integer(field(payload, "n", default=len(values) - 1), "n")
+        return {"result": _witt_coords_out((witt_polynomial(args.p, n, values, ring),))[0]}
+    else:
+        raise PayloadError(f"op: unknown witt op {op!r}")
+    return {"result": _witt_coords_out(out)}
 
 
-def _run_skewfield(args, payload):
+def _skewfield(args):
+    payload = _read_payload(args)
     ctx = UnramifiedContext(args.p, args.f, args.s, args.precision)
     algebra = CyclicAlgebra(ctx, args.r)
-    op = payload.get("op")
+    op = field(payload, "op", default=None)
+
+    def element(key):
+        return algebra.element(array(field(payload, key), key, digits))
+
     if op == "mul":
-        x = algebra.element(payload["x"])
-        y = algebra.element(payload["y"])
-        out = algebra.mul(x, y)
+        out = algebra.mul(element("x"), element("y"))
         return {"coeffs": [list(c) for c in out.coeffs]}
     if op == "pi-power":
-        out = algebra.power(algebra.pi(), int(payload.get("e", 1)))
+        out = algebra.power(algebra.pi(), integer(field(payload, "e", default=1), "e"))
         return {"coeffs": [list(c) for c in out.coeffs]}
     if op == "norm":
-        x = algebra.element(payload["x"])
-        nrd, v = algebra.reduced_norm_val(x)
+        nrd, v = algebra.reduced_norm_val(element("x"))
         return {"nrd": list(nrd), "vD": fraction_to_json(v)}
     if op == "invariant":
         return {"invariant": fraction_to_json(brauer_invariant(args.r, args.s, ctx))}
     if op == "embed":
-        x = algebra.element(payload["x"])
-        return {"matrix": _carrier_matrix_out(algebra.embed_matrix(x))}
-    raise PayloadError(f"unknown skewfield op {op!r}")
+        return {"matrix": _carrier_matrix_out(algebra.embed_matrix(element("x")))}
+    raise PayloadError(f"op: unknown skewfield op {op!r}")
 
 
-def _run_dieudonne(args):
+def _dieudonne(args):
     ctx = UnramifiedContext(args.p, args.f, args.residue_degree, args.precision)
     mod = dieudonne_standard(args.rank, args.etale_height, ctx)
     etale, formal = etale_inf_height(mod)
@@ -238,91 +279,62 @@ def _run_dieudonne(args):
         "formal": formal,
     }
     if nf > 0:
-        power = v_power_matrix(mod, nf)
-        carrier = ctx.carrier
-        pi_el = carrier.from_int(ctx.p)
-        ok = all(
-            power[i][j] == (pi_el if i == j else carrier.zero())
-            for i in range(args.etale_height, args.rank)
-            for j in range(args.etale_height, args.rank)
-        )
-        out["v_power_is_pi_on_formal"] = ok
+        block = [row[args.etale_height:] for row in v_power_matrix(mod, nf)[args.etale_height:]]
+        out["v_power_is_pi_on_formal"] = _is_scalar_matrix(ctx, block, ctx.p)
     return out
 
 
-def run_command(args):
-    ctx = _context(args)
-    registry = _registry(args, ctx)
-    cmd = args.command
-    payload = None
-    if cmd not in ("dieudonne",):
-        payload = _read_payload(args)
-        if payload is None:
-            raise PayloadError("empty payload")
+_FLAGS = {
+    "--registry": dict(default=None, help="label registry JSON path"),
+    "--p": dict(type=int, default=3),
+    "--f": dict(type=int, default=1),
+    "--d": dict(type=int, default=0),
+    "--npsi": dict(type=int, default=0),
+    "--precision": dict(type=int, default=4),
+    "--input": dict(default="-", help="payload JSON path or - for stdin"),
+    "--output": dict(default="-", help="output path or - for stdout"),
+    "--mode": dict(choices=["artin", "epsDegree"], default="artin"),
+    "--resolve": dict(action="store_true"),
+    "--ring": dict(default="Q", help="Q, Z, Zmod:m, Fp or Fq:r"),
+    "--length": dict(type=int, default=3),
+    "--r": dict(type=int, required=True),
+    "--s": dict(type=int, required=True),
+    "--rank": dict(type=int, required=True),
+    "--etale-height": dict(type=int, required=True),
+    "--residue-degree": dict(type=int, default=1),
+}
+_LANGLANDS = ("--registry", "--p", "--f", "--d", "--npsi", "--input", "--output")
 
-    if cmd == "rec":
-        c = class_data_from_json(payload, registry, ctx)
-        return wdrep_to_json(rec_forward(c))
-    if cmd == "rec-inverse":
-        rho = wdrep_from_json(payload, registry, ctx)
-        return class_data_to_json(rec_inverse(rho))
-    if cmd == "satake":
-        direction = payload.get("direction")
-        if direction == "toWD":
-            values = [scalar_from_json(v) for v in payload.get("values", [])]
-            return class_data_to_json(satake_class_data(values, ctx))
-        if direction == "fromRep":
-            c = class_data_from_json(payload.get("data"), registry, ctx)
-            return {"values": [scalar_to_json(v, ctx) for v in satake_parameters(c, ctx)]}
-        raise PayloadError("satake direction must be 'toWD' or 'fromRep'")
-    if cmd == "lfactor":
-        rho = wdrep_from_json(payload, registry, ctx)
-        l = wd_l_factor(rho, ctx)
-        return {"factors": lfactor_to_json(l, ctx), "rendered": render_lfactor(l, ctx)}
-    if cmd == "lfactor-pair":
-        left = class_data_from_json(payload.get("left"), registry, ctx)
-        right = class_data_from_json(payload.get("right"), registry, ctx)
-        wd = wd_pair_l(rec_forward(left), rec_forward(right), ctx)
-        inductive = gl_pair_l_inductive(left, right, ctx)
-        return {
-            "factors": lfactor_to_json(wd, ctx),
-            "rendered": render_lfactor(wd, ctx),
-            "inductive_matches_wd": lfactors_equal(wd, inductive, ctx),
-        }
-    if cmd == "eps":
-        rho = wdrep_from_json(payload, registry, ctx)
-        return eps_to_json(wd_eps(rho, ctx), ctx)
-    if cmd == "conductor":
-        rho = wdrep_from_json(payload, registry, ctx)
-        value = conductor(rho, ctx, args.mode)
-        return {"mode": args.mode, "value": fraction_to_json(value)}
-    if cmd == "dictionary":
-        c = class_data_from_json(payload, registry, ctx)
-        return {"rows": dictionary_report(c, ctx)}
-    if cmd == "involution":
-        c = class_data_from_json(payload, registry, ctx)
-        return class_data_to_json(involution_t(c, resolve=args.resolve))
-    if cmd == "dual":
-        if isinstance(payload, dict) and "blocks" in payload:
-            rho = wdrep_from_json(payload, registry, ctx)
-            return wdrep_to_json(wd_dual(rho))
-        c = class_data_from_json(payload, registry, ctx)
-        return class_data_to_json(c.dual())
-    if cmd == "classify-predicates":
-        c = class_data_from_json(payload, registry, ctx)
-        return gl_predicates(c, ctx)
-    if cmd == "verify":
-        c = class_data_from_json(payload.get("data"), registry, ctx)
-        chi_atom, _ = atom_from_json(payload.get("chi"), registry, ctx)
-        report = verify_rec_axioms(c, chi_atom, ctx, registry)
-        return {k: v for k, v in report.items()}
-    if cmd == "witt":
-        return _run_witt(args, payload)
-    if cmd == "skewfield":
-        return _run_skewfield(args, payload)
-    if cmd == "dieudonne":
-        return _run_dieudonne(args)
-    raise PayloadError(f"unknown command {cmd!r}")
+# name, handler, the flags the handler reads
+_SUBCOMMANDS = (
+    ("rec", _langlands(_rec), _LANGLANDS),
+    ("rec-inverse", _langlands(_rec_inverse), _LANGLANDS),
+    ("satake", _langlands(_satake), _LANGLANDS),
+    ("lfactor", _langlands(_lfactor), _LANGLANDS),
+    ("lfactor-pair", _langlands(_lfactor_pair), _LANGLANDS),
+    ("eps", _langlands(_eps), _LANGLANDS),
+    ("conductor", _langlands(_conductor), _LANGLANDS + ("--mode",)),
+    ("dictionary", _langlands(_dictionary), _LANGLANDS),
+    ("involution", _langlands(_involution), _LANGLANDS + ("--resolve",)),
+    ("dual", _langlands(_dual), _LANGLANDS),
+    ("classify-predicates", _langlands(_classify_predicates), _LANGLANDS),
+    ("verify", _langlands(_verify), _LANGLANDS),
+    ("witt", _witt, ("--p", "--ring", "--length", "--input", "--output")),
+    ("skewfield", _skewfield, ("--p", "--f", "--r", "--s", "--precision", "--input", "--output")),
+    ("dieudonne", _dieudonne,
+     ("--p", "--f", "--rank", "--etale-height", "--residue-degree", "--precision", "--output")),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="padicgl")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, handler, flags in _SUBCOMMANDS:
+        sp = sub.add_parser(name)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(run=handler)
+    return top
 
 
 def _dump(result) -> str:
@@ -334,12 +346,12 @@ def main(argv=None) -> int:
     try:
         # serialising inside the try: json.dumps itself can fail, e.g. on an
         # integer longer than Python's int-to-str digit limit
-        text = _dump(run_command(args))
+        text = _dump(args.run(args))
         status = 0
-    except (json.JSONDecodeError, PayloadError, KeyError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, PayloadError) as exc:
         text = _dump({"error": "parse", "detail": str(exc)})
         status = 2
-    except (ValueError, RegistryError, ArithmeticError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         text = _dump({"error": type(exc).__name__, "detail": str(exc)})
         status = 1
     except Exception as exc:  # never leak a stack trace

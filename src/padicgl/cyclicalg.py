@@ -330,68 +330,44 @@ def dieudonne_standard(n: int, h: int, ctx: UnramifiedContext) -> DieudonneModul
 
 
 def v_power_matrix(mod: DieudonneModule, k: int) -> Matrix:
-    """Matrix of V^k (a sigma_K^(-k)-semilinear map)."""
+    """Matrix of V^k (a sigma_K^(-k)-semilinear map), by square-and-multiply
+    on V^(a+b) = V^a sigma_K^(-a)(V^b)."""
     ctx = mod.ctx
-    acc = mod.v_matrix
-    for i in range(1, k):
-        acc = _mat_mul(ctx, acc, _entrywise_sigma(ctx, mod.v_matrix, -i))
-    if k == 0:
-        n = mod.n
-        carrier = ctx.carrier
-        return tuple(
-            tuple(carrier.one() if i == j else carrier.zero() for j in range(n)) for i in range(n)
-        )
-    return acc
+    carrier = ctx.carrier
+    out = tuple(
+        tuple(carrier.one() if i == j else carrier.zero() for j in range(mod.n)) for i in range(mod.n)
+    )
+    a, power, b = 0, mod.v_matrix, 1  # out = V^a, power = V^b
+    while k:
+        if k & 1:
+            out = _mat_mul(ctx, out, _entrywise_sigma(ctx, power, -a))
+            a += b
+        k >>= 1
+        if k:
+            power = _mat_mul(ctx, power, _entrywise_sigma(ctx, power, -b))
+            b *= 2
+    return out
 
 
 def etale_inf_height(mod: DieudonneModule) -> Tuple[int, int]:
-    """Iterate the image of V on M/pM until the residue rank stabilizes;
-    the stable rank is the etale height (V is nilpotent on the formal part
-    modulo p within n steps)."""
-    ctx = mod.ctx
-    field = ctx.carrier.residue
-    q = ctx.q
-
-    def res(e: Element):
-        return ctx.carrier.reduce_mod_p(e)
-
-    def sigma_inv_res(a):
-        out = a
-        for _ in range(ctx.s - 1 if ctx.s > 1 else 0):
-            out = field.pow(out, q)
-        return out
-
-    def rank(mat) -> int:
-        rows = [list(r) for r in mat]
-        nrows, ncols = len(rows), len(rows[0])
-        rk = 0
-        for col in range(ncols):
-            sel = None
-            for i in range(rk, nrows):
-                if any(rows[i][col]):
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[rk], rows[sel] = rows[sel], rows[rk]
-            inv = field.inv_unit(rows[rk][col])
-            rows[rk] = [field.mul(x, inv) for x in rows[rk]]
-            for i in range(nrows):
-                if i != rk and any(rows[i][col]):
-                    c = rows[i][col]
-                    rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[rk])]
-            rk += 1
-        return rk
-
-    a_bar = [[res(e) for e in row] for row in mod.v_matrix]
-    b = a_bar
-    for _ in range(mod.n):
-        b = [
-            [
-                field.dot(zip(a_bar[i], [sigma_inv_res(b[k][j]) for k in range(mod.n)]))
-                for j in range(mod.n)
-            ]
-            for i in range(mod.n)
-        ]
-    etale = rank(b)
-    return etale, mod.n - etale
+    """The etale height is the residue rank of V^n: on M/pM the images of
+    the powers of V decrease and are stable from the n-th on, where V is
+    nilpotent on the formal part.  (The image of a semilinear map is the
+    column space of its matrix.)"""
+    carrier = mod.ctx.carrier
+    field = carrier.residue
+    rows = [[carrier.reduce_mod_p(e) for e in row] for row in v_power_matrix(mod, mod.n)]
+    rk = 0
+    for col in range(mod.n):
+        sel = next((i for i in range(rk, mod.n) if any(rows[i][col])), None)
+        if sel is None:
+            continue
+        rows[rk], rows[sel] = rows[sel], rows[rk]
+        inv = field.inv_unit(rows[rk][col])
+        rows[rk] = [field.mul(x, inv) for x in rows[rk]]
+        for i in range(mod.n):
+            if i != rk and any(rows[i][col]):
+                c = rows[i][col]
+                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk, mod.n - rk

@@ -171,27 +171,45 @@ class ModRing:
             return None
 
 
-def _poly_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+def _poly_mod(a: List[int], b: List[int], p: int) -> List[int]:
+    """a mod b over F_p, for coefficient lists (lowest degree first, no
+    trailing zeros; [] is zero)."""
     a = a[:]
-    out = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = pow(b[-1], -1, p)
     for i in range(len(a) - len(b), -1, -1):
         c = (a[i + len(b) - 1] * inv_lead) % p
-        out[i] = c
         if c:
             for j, bj in enumerate(b):
                 a[i + j] = (a[i + j] - c * bj) % p
     while a and a[-1] == 0:
         a.pop()
-    return out, a
+    return a
+
+
+def _poly_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    return a
 
 
 def _is_irreducible(poly: List[int], p: int) -> bool:
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for divisor in _monic_polys(p, d):
-            _, rem = _poly_divmod(poly, divisor, p)
-            if not rem:
+    """Rabin's test (SIAM J. Comput. 9, 1980): a monic f of degree n is
+    irreducible over F_p iff f | x^(p^n) - x and gcd(f, x^(p^(n/l)) - x) = 1
+    for each prime l | n.  O(n^3 log p) work."""
+    n = len(poly) - 1
+    ring = UnramWittCarrier(p, n, 1, tuple(poly))
+    x = ring.gen()
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(n):
+        frob.append(ring.pow(frob[-1], p))
+    if frob[n] != x:
+        return False
+    for l in range(2, n + 1):
+        if n % l == 0 and _is_prime(l):
+            h = list(ring.sub(frob[n // l], x))
+            while h and h[-1] == 0:
+                h.pop()
+            if len(_poly_gcd(poly, h, p)) != 1:
                 return False
     return True
 

@@ -14,6 +14,7 @@ from padicgl.bzclass import (
     unramified_atom,
 )
 from padicgl.qexact import ExactScalar, GaussianRational, LocalFieldContext
+from padicgl.wittring import _monic_polys, _poly_mod
 
 
 def _scalar_doc(re, im=(0, 1), k=0):
@@ -157,6 +158,67 @@ def random_nonzero_scalar(rng: random.Random):
         g = random_gaussian(rng)
         if not g.is_zero():
             return ExactScalar(g, rng.randint(-4, 4))
+
+
+def trial_division_irreducible(poly, p):
+    """Reference irreducibility test over F_p: no monic divisor of degree
+    <= n/2 (what the modulus search used before Rabin's test)."""
+    for d in range(1, (len(poly) - 1) // 2 + 1):
+        for divisor in _monic_polys(p, d):
+            if not _poly_mod(poly, divisor, p):
+                return False
+    return True
+
+
+def etale_height_by_iteration(mod):
+    """Reference etale height: the residue rank of b <- A_V sigma^-1(b),
+    iterated n times from b = A_V (what etale_inf_height did before it read
+    the rank off v_power_matrix)."""
+    ctx = mod.ctx
+    field = ctx.carrier.residue
+    n = mod.n
+
+    def sigma_inv(a):
+        for _ in range(ctx.s - 1):
+            a = field.pow(a, ctx.q)
+        return a
+
+    a_bar = [[ctx.carrier.reduce_mod_p(e) for e in row] for row in mod.v_matrix]
+    b = a_bar
+    for _ in range(n):
+        b = [[field.dot(zip(a_bar[i], [sigma_inv(b[k][j]) for k in range(n)])) for j in range(n)]
+             for i in range(n)]
+    rows = [list(r) for r in b]
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, n) if any(rows[i][col])), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv_unit(rows[rank][col])
+        rows[rank] = [field.mul(x, inv) for x in rows[rank]]
+        for i in range(n):
+            if i != rank and any(rows[i][col]):
+                c = rows[i][col]
+                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, n - rank
+
+
+def v_power_by_iteration(mod, k):
+    """Reference V^k: A_V sigma^-1(A_V) ... sigma^-(k-1)(A_V), one product per
+    step (what v_power_matrix did before square-and-multiply)."""
+    ctx = mod.ctx
+    carrier = ctx.carrier
+    if k == 0:
+        return tuple(tuple(carrier.one() if i == j else carrier.zero() for j in range(mod.n))
+                     for i in range(mod.n))
+    acc = mod.v_matrix
+    for i in range(1, k):
+        twisted = [[ctx.sigma(e, -i) for e in row] for row in mod.v_matrix]
+        acc = tuple(tuple(carrier.dot((acc[r][t], twisted[t][c]) for t in range(mod.n))
+                          for c in range(mod.n)) for r in range(mod.n))
+    return acc
 
 
 def leibniz_det(carrier, mat):

@@ -1,12 +1,18 @@
+import argparse
+import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import REGISTRY_DOC
+from padicgl import cli
 from padicgl.cli import main
 from padicgl.wittring import GFRing, IntegerRing, WittContext, ghost
 
@@ -257,3 +263,191 @@ def test_unwritable_output_gives_structured_error(tmp_path):
     doc = json.loads(out)
     assert set(doc) == {"error", "detail"} and doc["error"] == "FileNotFoundError"
     assert not target.exists()
+
+
+LANGLANDS_FLAGS = {"--registry", "--p", "--f", "--d", "--npsi", "--input", "--output"}
+FLAG_SETS = {
+    **{name: LANGLANDS_FLAGS for name in (
+        "rec", "rec-inverse", "satake", "lfactor", "lfactor-pair", "eps", "dictionary",
+        "dual", "classify-predicates", "verify")},
+    "conductor": LANGLANDS_FLAGS | {"--mode"},
+    "involution": LANGLANDS_FLAGS | {"--resolve"},
+    "witt": {"--p", "--ring", "--length", "--input", "--output"},
+    "skewfield": {"--p", "--f", "--r", "--s", "--precision", "--input", "--output"},
+    "dieudonne": {"--p", "--f", "--rank", "--etale-height", "--residue-degree", "--precision", "--output"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, sp in sub.choices.items()}
+    assert flags == FLAG_SETS
+    for argv in (["witt", "--registry", "x"], ["lfactor", "--precision", "4"],
+                 ["dieudonne", "--rank", "2", "--etale-height", "1", "--input", "-"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def _main_in_process(argv, payload, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_padic_subcommands_build_no_langlands_context(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a p-adic subcommand built a Langlands context")
+
+    monkeypatch.setattr(cli, "LocalFieldContext", refuse)
+    monkeypatch.setattr(cli, "load_registry", refuse)
+    assert _main_in_process(["rec", "--p", "3"], ST2, monkeypatch, capsys)[0] == 1
+    for argv, payload, key in [
+        (["witt", "--p", "2", "--ring", "Z", "--length", "2"], '{"op":"add","x":[1,0],"y":[1,0]}', "result"),
+        (["skewfield", "--p", "2", "--r", "1", "--s", "2"], '{"op":"invariant"}', "invariant"),
+        (["dieudonne", "--p", "2", "--rank", "3", "--etale-height", "1"], "", "etale"),
+    ]:
+        code, doc = _main_in_process(argv, payload, monkeypatch, capsys)
+        assert code == 0 and key in doc
+
+
+def test_large_modulus_and_dieudonne_rank_answer_quickly():
+    # Rabin's irreducibility test for the degree-40 modulus, and V^n by
+    # square-and-multiply at rank 200
+    start = time.perf_counter()
+    code, out = run_cli(["skewfield", "--p", "2", "--r", "1", "--s", "40", "--precision", "4"],
+                        '{"op":"invariant"}', timeout=60)
+    assert code == 0 and json.loads(out)["invariant"] == [1, 40]
+    assert time.perf_counter() - start < 10.0
+    start = time.perf_counter()
+    code, out = run_cli(["dieudonne", "--p", "2", "--rank", "200", "--etale-height", "100",
+                         "--precision", "3"], timeout=60)
+    doc = json.loads(out)
+    assert code == 0 and (doc["etale"], doc["formal"]) == (100, 100)
+    assert doc["v_power_is_pi_on_formal"] is True
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("argv,payload,detail", [
+    (["lfactor"], '{"blocks": 2}', "blocks: expected an array, got a number"),
+    (["lfactor"], '{"blocks": "ur(1,0,0)"}', "blocks: expected an array, got a string"),
+    (["lfactor"], '{"blocks":[{"label":"1","m":{}}]}', "blocks[0].m: expected an integer, got an object"),
+    (["lfactor"], '{"blocks":[{"label":"1","m":"abc"}]}', "blocks[0].m: expected an integer, got a string"),
+    (["rec"], '[{"label": "1"}]', "payload: expected an object, got an array"),
+    (["rec"], '{"segments":[{"label":"1"},{"label":"1","x":[1,3]}]}',
+     "segments[1].x: twists are serialized in integer or half units"),
+    (["verify"], '{"data":{"segments":[{"label":"1"}]},"chi":{"label":1}}',
+     "chi.label: expected a string, got a number"),
+    (["witt", "--ring", "Z"], '{"op":"add","x":[1,0,0]}', "y: missing"),
+    (["witt", "--ring", "Q", "--length", "1"], '{"op":"neg","x":["abc"]}',
+     "x[0]: expected a rational number, got 'abc'"),
+    (["skewfield", "--r", "1", "--s", "2"], '{"op":"norm","x":"x"}', "x: expected an array, got a string"),
+    (["skewfield", "--r", "1", "--s", "2"], '{"op":"norm","x":[[1, "2"]]}',
+     "x[0][1]: expected an integer, got a string"),
+])
+def test_payload_errors_name_the_field(argv, payload, detail, monkeypatch, capsys):
+    assert _main_in_process(argv, payload, monkeypatch, capsys) == (2, {"error": "parse", "detail": detail})
+
+
+def test_registry_product_missing_a_field(tmp_path, monkeypatch, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"labels": [], "products": [{"right": "xi", "result": "tau2xi"}]}))
+    code, doc = _main_in_process(["rec", "--registry", str(registry)], ST2, monkeypatch, capsys)
+    assert code == 1 and doc == {"error": "RegistryError", "detail": "product record missing field 'left'"}
+
+
+# -- any JSON payload gets JSON stdout and an honest exit code ---------------
+
+PROPERTY_ARGV = [
+    ["rec"], ["rec-inverse"], ["satake"], ["lfactor"], ["lfactor-pair"], ["eps"],
+    ["conductor", "--mode", "epsDegree"], ["dictionary"], ["involution", "--resolve"], ["dual"],
+    ["classify-predicates"], ["verify"],
+    ["witt", "--p", "2", "--ring", "Q"], ["witt", "--p", "2", "--ring", "Z"],
+    ["witt", "--p", "2", "--ring", "Zmod:4"], ["witt", "--p", "3", "--ring", "Fq:2"],
+    ["skewfield", "--p", "2", "--r", "1", "--s", "3"],
+    ["dieudonne", "--p", "2", "--rank", "3", "--etale-height", "1"],
+]
+# field names and values of the payload schemas, so that drawn documents
+# reach past the first check
+WORDS = ["op", "x", "y", "e", "n", "direction", "values", "data", "left", "right", "chi",
+         "segments", "blocks", "form", "label", "m", "re", "im", "k",
+         "add", "mul", "neg", "frobenius", "ghost", "ghost-inverse", "witt-polynomial", "norm",
+         "invariant", "embed", "pi-power", "toWD", "fromRep", "Q", "Z", "1", "tau2", "xi",
+         "ur(1,0,0)", "1/2", "-3/4"]
+GOLDEN_PAYLOADS = [
+    json.loads(ST2), json.loads(SP3),
+    {"left": json.loads(ST2), "right": json.loads(SP3.replace("blocks", "segments"))},
+    {"data": json.loads(ST2), "chi": {"label": "1", "x": [2, 2]}},
+    {"direction": "toWD", "values": [{"re": [1, 1]}, {"re": [1, 9], "im": [0, 1], "k": 1}]},
+    {"direction": "fromRep", "data": json.loads(ST2)},
+    {"op": "mul", "x": [1, "1/2", 0], "y": [[1, 1], 2, 0], "n": 1},
+    {"op": "norm", "x": [[1, 2, 3], [0, 1], []], "y": [[2]], "e": 4},
+]
+# integers stay small: the caps on Sp length, twist and Witt size are a
+# separate open item, and this property is about the error labels
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 40) | st.floats(-8, 40)
+    | st.sampled_from(WORDS) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_golden(draw):
+    """A golden payload with one subtree replaced by a drawn JSON value."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(GOLDEN_PAYLOADS))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(json_values)
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _names_a_payload_field(detail, payload):
+    """The detail starts with a JSON path into the payload: every step but
+    the last (which may name a missing field) exists."""
+    head = re.match(r"(payload|[a-z]+(?:\[\d+\]|\.[a-z]+)*): ", detail)
+    if head is None:
+        return False
+    if head.group(1) == "payload":
+        return True
+    steps = [int(s[1:-1]) if s.startswith("[") else s.lstrip(".")
+             for s in re.findall(r"\[\d+\]|\.?[a-z]+", head.group(1))]
+    node = payload
+    for step in steps[:-1]:
+        node = node[step]
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=st.sampled_from(PROPERTY_ARGV), payload=json_values | mutated_golden())
+def test_any_payload_gets_an_honest_answer(argv, payload):
+    text = json.dumps(payload)
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    doc = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    if code:
+        assert set(doc) == {"error", "detail"} and doc["error"] != "internal", doc
+    if code == 2:
+        assert doc["error"] == "parse" and _names_a_payload_field(doc["detail"], payload), doc

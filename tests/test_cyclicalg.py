@@ -6,6 +6,7 @@ import pytest
 
 from padicgl.cyclicalg import (
     CyclicAlgebra,
+    DieudonneModule,
     PrecisionError,
     UnramifiedContext,
     _det,
@@ -17,7 +18,7 @@ from padicgl.cyclicalg import (
 )
 from padicgl.wittring import GFRing, WittContext
 
-from helpers import leibniz_det
+from helpers import etale_height_by_iteration, leibniz_det, v_power_by_iteration
 
 
 def rand_alg_elem(alg, rng):
@@ -287,11 +288,38 @@ def test_dieudonne_examples():
 
 
 def test_dieudonne_all_heights():
-    ctx = UnramifiedContext(3, 1, 2, 3)
-    for n in range(1, 6):
-        for h in range(0, n + 1):
-            mod = dieudonne_standard(n, h, ctx)
-            assert etale_inf_height(mod) == (h, n - h)
+    for p, u in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)):
+        ctx = UnramifiedContext(p, 1, u, 3)
+        for n in range(1, 7):
+            for h in range(0, n + 1):
+                mod = dieudonne_standard(n, h, ctx)
+                assert etale_inf_height(mod) == etale_height_by_iteration(mod) == (h, n - h)
+                for k in range(n + 2):
+                    assert v_power_matrix(mod, k) == v_power_by_iteration(mod, k)
+
+
+def test_dieudonne_height_of_random_v_matrices():
+    # V need not come from a standard module here: a random matrix with
+    # unit, non-unit and zero entries, so every residue rank occurs
+    rng = random.Random(360)
+    ranks = set()
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        ctx = UnramifiedContext(rng.choice((2, 3)), 1, rng.choice((1, 2)), 3)
+        carrier = ctx.carrier
+
+        def entry():
+            a = carrier.element([rng.randrange(carrier.pN) for _ in range(carrier.m)])
+            return rng.choice((carrier.zero(), a, carrier.scalar_mul(ctx.p, a)))
+
+        v = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+        mod = DieudonneModule(ctx, n, v, v)  # F is not read
+        etale, formal = etale_inf_height(mod)
+        assert (etale, formal) == etale_height_by_iteration(mod)
+        ranks.add((n, etale))
+        for k in range(n + 2):
+            assert v_power_matrix(mod, k) == v_power_by_iteration(mod, k)
+    assert {etale for n, etale in ranks if n == 4} == {0, 1, 2, 3, 4}
 
 
 def test_dieudonne_base_change_invariance():

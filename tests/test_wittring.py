@@ -21,6 +21,8 @@ from padicgl.wittring import (
     witt_polynomial,
 )
 
+from helpers import trial_division_irreducible
+
 QQ = RationalField()
 ZZ = IntegerRing()
 F2 = GFRing(2, 1)
@@ -315,3 +317,12 @@ def test_find_irreducible_deterministic():
     assert find_irreducible(2, 1) == (0, 1)
     # the first lexicographic irreducible cubic over F_2 is x^3 + x + 1
     assert find_irreducible(2, 3) == (1, 1, 0, 1)
+    first = next(f for f in wittring._monic_polys(2, 20) if f[0] and trial_division_irreducible(f, 2))
+    assert find_irreducible(2, 20) == tuple(first)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 4)])
+def test_rabin_irreducibility_matches_trial_division(p, max_degree):
+    for degree in range(1, max_degree + 1):
+        for poly in wittring._monic_polys(p, degree):
+            assert wittring._is_irreducible(poly, p) == trial_division_irreducible(poly, p), poly
