@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .common import PayloadError, array, child_path, fraction_from_json, integer, record, string
 from .qexact import (
     ExactScalar,
     GaussianRational,
     LocalFieldContext,
-    _fraction,
     _half_integer,
     _p_valuation,
     canonical_scalar,
@@ -461,44 +461,63 @@ class LabelRegistry:
         return self._labels[result]
 
 
-def _scalar_from_doc(doc) -> ExactScalar:
-    re_part = _fraction(tuple(doc.get("re", (0, 1))))
-    im_part = _fraction(tuple(doc.get("im", (0, 1))))
-    return ExactScalar(GaussianRational(re_part, im_part), int(doc.get("k", 0)))
+def scalar_from_json(doc, path: str = "") -> ExactScalar:
+    """The scalar {"re": [num, den], "im": [num, den], "k": k} at path, which
+    is c * q^(k/2); absent fields are zero.  Label records and payloads share
+    this form."""
+    doc = record(doc, path)
+    re_part = fraction_from_json(doc.get("re", [0, 1]), child_path(path, "re"))
+    im_part = fraction_from_json(doc.get("im", [0, 1]), child_path(path, "im"))
+    k = integer(doc.get("k", 0), child_path(path, "k"))
+    return ExactScalar(GaussianRational(re_part, im_part), k)
+
+
+def _label_from_json(rec, path: str) -> InertialLabel:
+    rec = record(rec, path)
+    try:
+        name, kind, degree = rec["name"], rec["kind"], rec["degree"]
+    except KeyError as exc:
+        raise RegistryError(f"label record missing field {exc}") from exc
+
+    def optional(key, read, default):
+        return read(rec.get(key, default), child_path(path, key))
+
+    return InertialLabel(
+        name=string(name, child_path(path, "name")),
+        kind=kind,
+        degree=integer(degree, child_path(path, "degree")),
+        torsion=optional("torsion", integer, 1),
+        conductor=optional("conductor", integer, 0),
+        dual_name=optional("dual", string, name),
+        omega=optional("omegaAtUniformizer", scalar_from_json, {"re": [1, 1]}),
+        unit_class=optional("unitClass", string, "1"),
+    )
+
+
+def _product_from_json(rec, path: str) -> Tuple[Tuple[str, str], str]:
+    rec = record(rec, path)
+    try:
+        left, right, result = rec["left"], rec["right"], rec["result"]
+    except KeyError as exc:
+        raise RegistryError(f"product record missing field {exc}") from exc
+    return ((string(left, child_path(path, "left")), string(right, child_path(path, "right"))),
+            string(result, child_path(path, "result")))
 
 
 def load_registry(doc, ctx: Optional[LocalFieldContext] = None) -> LabelRegistry:
     """Build a registry from its JSON document (a list of label records or
-    an object with "labels" and optional "products")."""
+    an object with "labels" and optional "products").  A record that does
+    not fit raises RegistryError naming its JSON path."""
     if isinstance(doc, dict):
-        label_docs = doc.get("labels", [])
+        label_docs, label_path = doc.get("labels", []), "labels"
         product_docs = doc.get("products", [])
     else:
-        label_docs = doc
-        product_docs = []
-    labels = []
-    for rec in label_docs:
-        try:
-            labels.append(
-                InertialLabel(
-                    name=rec["name"],
-                    kind=rec["kind"],
-                    degree=int(rec["degree"]),
-                    torsion=int(rec.get("torsion", 1)),
-                    conductor=int(rec.get("conductor", 0)),
-                    dual_name=rec.get("dual", rec["name"]),
-                    omega=_scalar_from_doc(rec.get("omegaAtUniformizer", {"re": (1, 1)})),
-                    unit_class=rec.get("unitClass", "1"),
-                )
-            )
-        except KeyError as exc:
-            raise RegistryError(f"label record missing field {exc}") from exc
-    products = {}
-    for rec in product_docs:
-        try:
-            products[(rec["left"], rec["right"])] = rec["result"]
-        except KeyError as exc:
-            raise RegistryError(f"product record missing field {exc}") from exc
+        label_docs, label_path, product_docs = doc, "registry", []
+    try:
+        labels = array(label_docs, label_path, _label_from_json)
+        products = dict(array(product_docs, "products", _product_from_json))
+    except PayloadError as exc:
+        raise RegistryError(str(exc)) from None
     return LabelRegistry(labels, products, ctx)
 
 

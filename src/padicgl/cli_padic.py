@@ -1,0 +1,150 @@
+"""The p-adic half of the CLI: the handlers of ``witt``, ``skewfield`` and
+``dieudonne``, over Witt vectors and cyclic algebras.
+
+Each handler returns the JSON document that ``cli.main`` prints.  ``cli``
+imports this module only when one of these subcommands is chosen, so they
+load none of the Langlands modules.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .common import PayloadError, array, digits, field, fraction_to_json, integer, read_payload, string
+from .cyclicalg import (
+    CyclicAlgebra,
+    UnramifiedContext,
+    _is_scalar_matrix,
+    brauer_invariant,
+    dieudonne_standard,
+    etale_inf_height,
+    v_power_matrix,
+)
+from .wittring import (
+    GFRing,
+    IntegerRing,
+    ModRing,
+    RationalField,
+    WittContext,
+    frobenius,
+    ghost,
+    ghost_inverse,
+    verschiebung,
+    witt_polynomial,
+)
+
+
+def _witt_ring(spec, p: int):
+    """The coefficient ring of ``--ring``, which argparse has read as
+    (name, the integer after the colon or None)."""
+    name, n = spec
+    if name == "Q":
+        return RationalField()
+    if name == "Z":
+        return IntegerRing()
+    if name == "Fp":
+        return ModRing(p)
+    if name == "Zmod":
+        return ModRing(n)
+    return GFRing(p, n)
+
+
+def _witt_coord(ring, c, path):
+    if isinstance(c, list):
+        c = digits(c, path)
+    elif isinstance(c, str):
+        try:
+            c = Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            raise PayloadError(f"{path}: expected a rational number, got {c!r}") from None
+    try:
+        return ring.coerce(c)
+    except TypeError as exc:  # the ring's "cannot coerce"
+        raise PayloadError(f"{path}: {exc}") from None
+
+
+def _witt_coords_out(coords):
+    return [str(c) if isinstance(c, Fraction) else list(c) if isinstance(c, tuple) else c
+            for c in coords]
+
+
+def _carrier_matrix_out(mat):
+    return [[list(e) for e in row] for row in mat]
+
+
+_WITT_UNARY = {
+    "neg": lambda x: (-x).coords,
+    "frobenius": lambda x: frobenius(x).coords,
+    "verschiebung": lambda x: verschiebung(x).coords,
+    "ghost": ghost,
+}
+_WITT_BINARY = {
+    "add": lambda x, y: (x + y).coords,
+    "mul": lambda x, y: (x * y).coords,
+}
+
+
+def run_witt(args):
+    payload = read_payload(args.input)
+    ring = _witt_ring(args.ring, args.p)
+    wctx = WittContext(ring, args.p, args.length)
+    op = string(field(payload, "op", default=""), "op")
+
+    def coords(key):
+        return array(field(payload, key), key, lambda c, path: _witt_coord(ring, c, path))
+
+    if op in _WITT_BINARY:
+        out = _WITT_BINARY[op](wctx.vector(coords("x")), wctx.vector(coords("y")))
+    elif op in _WITT_UNARY:
+        out = _WITT_UNARY[op](wctx.vector(coords("x")))
+    elif op == "ghost-inverse":
+        out = ghost_inverse(wctx, coords("x")).coords
+    elif op == "witt-polynomial":
+        values = coords("x")
+        n = integer(field(payload, "n", default=len(values) - 1), "n")
+        return {"result": _witt_coords_out((witt_polynomial(args.p, n, values, ring),))[0]}
+    else:
+        raise PayloadError(f"op: unknown witt op {op!r}")
+    return {"result": _witt_coords_out(out)}
+
+
+def run_skewfield(args):
+    payload = read_payload(args.input)
+    ctx = UnramifiedContext(args.p, args.f, args.s, args.precision)
+    algebra = CyclicAlgebra(ctx, args.r)
+    op = field(payload, "op", default=None)
+
+    def element(key):
+        return algebra.element(array(field(payload, key), key, digits))
+
+    if op == "mul":
+        out = algebra.mul(element("x"), element("y"))
+        return {"coeffs": [list(c) for c in out.coeffs]}
+    if op == "pi-power":
+        out = algebra.power(algebra.pi(), integer(field(payload, "e", default=1), "e"))
+        return {"coeffs": [list(c) for c in out.coeffs]}
+    if op == "norm":
+        nrd, v = algebra.reduced_norm_val(element("x"))
+        return {"nrd": list(nrd), "vD": fraction_to_json(v)}
+    if op == "invariant":
+        return {"invariant": fraction_to_json(brauer_invariant(args.r, args.s, ctx))}
+    if op == "embed":
+        return {"matrix": _carrier_matrix_out(algebra.embed_matrix(element("x")))}
+    raise PayloadError(f"op: unknown skewfield op {op!r}")
+
+
+def run_dieudonne(args):
+    ctx = UnramifiedContext(args.p, args.f, args.residue_degree, args.precision)
+    mod = dieudonne_standard(args.rank, args.etale_height, ctx)
+    etale, formal = etale_inf_height(mod)
+    nf = args.rank - args.etale_height
+    out = {
+        "V": _carrier_matrix_out(mod.v_matrix),
+        "F": _carrier_matrix_out(mod.f_matrix),
+        "etale": etale,
+        "formal": formal,
+    }
+    if nf > 0:
+        block = [row[args.etale_height:] for row in v_power_matrix(mod, nf)[args.etale_height:]]
+        out["v_power_is_pi_on_formal"] = _is_scalar_matrix(ctx, block, ctx.p)
+    return out

@@ -1,0 +1,132 @@
+"""What both halves of padicgl share, importing neither: a primality test
+and the JSON payload readers.
+
+The Langlands half (``qexact`` ... ``jsonio``) and the p-adic half
+(``wittring``, ``cyclicalg``) meet only here, so a CLI subcommand imports
+one half and this module.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from fractions import Fraction
+from typing import List, Tuple
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class PayloadError(ValueError):
+    """Malformed payload document (schema level, exit code 2).  Raised by
+    the readers below with the JSON path of the bad field first, as in
+    ``segments[1].m: expected an integer, got an object``."""
+
+
+def read_payload(source: str):
+    """The JSON document in the file at source, or on stdin for "-"."""
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    if not text.strip():
+        raise PayloadError("empty payload")
+    return json.loads(text)
+
+
+# -- payload readers: each names the JSON path it reads ("" is the payload)
+
+_REQUIRED = object()
+
+
+def _kind(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "a boolean"
+    if isinstance(v, (int, float)):
+        return "a number"
+    if isinstance(v, str):
+        return "a string"
+    return "an array" if isinstance(v, list) else "an object"
+
+
+def _bad(path: str, what: str, v) -> PayloadError:
+    return PayloadError(f"{path or 'payload'}: expected {what}, got {_kind(v)}")
+
+
+def child_path(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def record(v, path: str) -> dict:
+    """The JSON object at path."""
+    if not isinstance(v, dict):
+        raise _bad(path, "an object", v)
+    return v
+
+
+def field(doc, key: str, path: str = "", default=_REQUIRED):
+    """doc[key] of the JSON object at path; default when the key is absent."""
+    if key in record(doc, path):
+        return doc[key]
+    if default is _REQUIRED:
+        raise PayloadError(f"{child_path(path, key)}: missing")
+    return default
+
+
+def array(v, path: str, item=None) -> list:
+    """The JSON array at path, each entry read by item(entry, entry_path)."""
+    if not isinstance(v, list):
+        raise _bad(path, "an array", v)
+    return v if item is None else [item(e, child_path(path, i)) for i, e in enumerate(v)]
+
+
+def integer(v, path: str) -> int:
+    """int(v): what the payload always accepted where it reads an integer."""
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise _bad(path, "an integer", v) from None
+
+
+def string(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise _bad(path, "a string", v)
+    return v
+
+
+def digits(v, path: str) -> list:
+    """A JSON array of integers: the coefficients of a carrier element."""
+    for i, c in enumerate(array(v, path)):
+        if not isinstance(c, int):
+            raise _bad(child_path(path, i), "an integer", c)
+    return v
+
+
+def pair(x, path: str) -> Tuple[int, int]:
+    if not (isinstance(x, (list, tuple)) and len(x) == 2):
+        raise _bad(path, "a [num, den] pair", x)
+    return integer(x[0], child_path(path, 0)), integer(x[1], child_path(path, 1))
+
+
+def fraction_to_json(x: Fraction) -> List[int]:
+    return [x.numerator, x.denominator]
+
+
+def fraction_from_json(doc, path: str = "") -> Fraction:
+    num, den = pair(doc, path)
+    if den == 0:
+        raise PayloadError(f"{path or 'payload'}: zero denominator")
+    return Fraction(num, den)

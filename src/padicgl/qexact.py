@@ -18,18 +18,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple, Union
 
+from .common import is_prime
+
 FractionLike = Union[int, Fraction, Tuple[int, int]]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _fraction(value: FractionLike) -> Fraction:
@@ -135,7 +126,7 @@ class LocalFieldContext:
     n_psi: int = 0
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.f < 1:
             raise ValueError("f must be a positive integer")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .qexact import _is_prime
+from .common import is_prime
 
 Element = Tuple[int, ...]
 
@@ -205,7 +205,7 @@ def _is_irreducible(poly: List[int], p: int) -> bool:
     if frob[n] != x:
         return False
     for l in range(2, n + 1):
-        if n % l == 0 and _is_prime(l):
+        if n % l == 0 and is_prime(l):
             h = list(ring.sub(frob[n // l], x))
             while h and h[-1] == 0:
                 h.pop()
@@ -246,7 +246,7 @@ class UnramWittCarrier:
     N = 1 this is the finite field F_{p^m} itself (:class:`GFRing`)."""
 
     def __init__(self, p: int, m: int, precision: int, modulus_fp: Optional[Tuple[int, ...]] = None):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
@@ -642,7 +642,7 @@ class WittContext:
     n: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.n < 1:
             raise ValueError("truncation length must be >= 1")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import REGISTRY_DOC
-from padicgl import cli
+from padicgl import cli, cli_langlands
 from padicgl.cli import main
 from padicgl.wittring import GFRing, IntegerRing, WittContext, ghost
 
@@ -300,8 +300,8 @@ def test_padic_subcommands_build_no_langlands_context(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise RuntimeError("a p-adic subcommand built a Langlands context")
 
-    monkeypatch.setattr(cli, "LocalFieldContext", refuse)
-    monkeypatch.setattr(cli, "load_registry", refuse)
+    monkeypatch.setattr(cli_langlands, "LocalFieldContext", refuse)
+    monkeypatch.setattr(cli_langlands, "load_registry", refuse)
     assert _main_in_process(["rec", "--p", "3"], ST2, monkeypatch, capsys)[0] == 1
     for argv, payload, key in [
         (["witt", "--p", "2", "--ring", "Z", "--length", "2"], '{"op":"add","x":[1,0],"y":[1,0]}', "result"),
@@ -352,9 +352,35 @@ def test_payload_errors_name_the_field(argv, payload, detail, monkeypatch, capsy
 
 def test_registry_product_missing_a_field(tmp_path, monkeypatch, capsys):
     registry = tmp_path / "registry.json"
-    registry.write_text(json.dumps({"labels": [], "products": [{"right": "xi", "result": "tau2xi"}]}))
-    code, doc = _main_in_process(["rec", "--registry", str(registry)], ST2, monkeypatch, capsys)
-    assert code == 1 and doc == {"error": "RegistryError", "detail": "product record missing field 'left'"}
+    for registry_doc, detail in [
+        ({"labels": [], "products": [{"right": "xi", "result": "tau2xi"}]},
+         "product record missing field 'left'"),
+        ({"labels": [5]}, "labels[0]: expected an object, got a number"),
+        ({"labels": 5}, "labels: expected an array, got a number"),
+        ({"labels": [{"name": "1", "kind": "unramified-char", "degree": [1]}]},
+         "labels[0].degree: expected an integer, got an array"),
+    ]:
+        registry.write_text(json.dumps(registry_doc))
+        code, doc = _main_in_process(["rec", "--registry", str(registry)], ST2, monkeypatch, capsys)
+        assert code == 1 and doc == {"error": "RegistryError", "detail": detail}
+
+
+@pytest.mark.parametrize("ring", ["Zmod:abc", "Fq:x", "Foo"])
+def test_misspelt_witt_ring_is_a_usage_error(ring, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"op":"neg","x":[1,0,0]}'))
+    with pytest.raises(SystemExit) as exc:
+        main(["witt", "--ring", ring])
+    assert exc.value.code == 2
+    assert "argument --ring: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring,detail", [
+    ("Zmod:0", "modulus must be >= 2"), ("Fq:0", "extension degree must be >= 1"),
+])
+def test_witt_ring_out_of_range_is_the_ring_refusal(ring, detail, monkeypatch, capsys):
+    payload = '{"op":"neg","x":[1,0,0]}'
+    assert _main_in_process(["witt", "--ring", ring], payload, monkeypatch, capsys) == (
+        1, {"error": "ValueError", "detail": detail})
 
 
 # -- any JSON payload gets JSON stdout and an honest exit code ---------------
