@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .bzclass import gl_predicates, involution_t, load_registry
+from .bzclass import RegistryError, gl_predicates, involution_t, load_registry
 from .common import PayloadError, array, field, fraction_to_json, read_payload
 from .factors import conductor, gl_pair_l_inductive, wd_eps, wd_l_factor, wd_pair_l
 from .jsonio import (
@@ -41,7 +41,10 @@ def _registry(args, ctx):
     if args.registry is None:
         return load_registry(DEFAULT_REGISTRY_DOC, ctx)
     with open(args.registry, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RegistryError(f"{args.registry}: not a JSON document: {exc}") from None
     return load_registry(doc, ctx)
 
 

@@ -14,14 +14,31 @@ from fractions import Fraction
 from typing import List, Tuple
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound (Sorenson
+# and Webster, Math. Comp. 86, 2017); at or above it is_prime refuses.
+PRIME_TEST_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin for n < PRIME_TEST_BOUND."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:  # n passes a when a^d = 1 or a^(d 2^j) = -1, j < s
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 

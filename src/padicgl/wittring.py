@@ -2,22 +2,25 @@
 
 The ring laws have integer coefficients, so each law can be computed
 wherever it is cheapest and mapped back.  A :class:`WittContext` fixes one
-route per coefficient ring R:
+of two routes per coefficient ring R:
 
-* p invertible in R (Q, Z/m with gcd(p, m) = 1): ghost components in R,
-  the componentwise operation, and the triangular ghost inverse in R.
-* Z, and Z/m with p | m: the coordinates lifted to Z, the same ghost
-  computation over Z with exact division by p^m (the ghost map is injective
-  on the p-torsion-free Z), and the result mapped back into R.  For Z/m
-  the computation is done mod m p^(n-1), which determines the result.
 * F_{p^r}: the Teichmuller bridge W_n(F_{p^r}) = (Z/p^n)[x]/(F) of
   :class:`UnramWittCarrier` and its inverse, with the operation done in the
   carrier.
+* Z, Z/m and Q: the coordinates lifted to Z, the ghost computation over Z
+  with exact division by p^m (the ghost map is injective on the
+  p-torsion-free Z), and the result mapped back into R.  For Z/m, for every
+  m, this is done mod m p^(n-1): the ghost components are exact there, so
+  the solve fixes coordinate k mod m p^(n-1-k), hence in Z/m.  Q is scaled
+  into Z by [D]x = (D^(p^i) x_i), D the lcm of the denominators; since
+  [a][b] = [ab] and F[D] = [D^p], x + y = [D]^-1([D]x + [D]y),
+  xy = [D^2]^-1([D]x [D]y) and F(x) = [D^p]^-1 F([D]x).
 
 Frobenius is coordinatewise p-th powers in characteristic p, and otherwise
-takes the ghost route above on the length-(n+1) ghost of the zero-extended
-vector.  :func:`universal_polynomials` solves the laws symbolically over Q;
-no runtime path evaluates them (their size grows exponentially with n), and
+the lift route on the ghost of the zero-extended vector.  Only
+:func:`ghost_inverse` needs p invertible in R; it solves in R itself.
+:func:`universal_polynomials` solves the laws symbolically over Q; no
+runtime path evaluates them (their size grows exponentially with n), and
 the tests use them as the reference the routes are checked against.
 
 Conventions for truncated length N: vectors always carry N coordinates;
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import is_prime
@@ -43,29 +47,11 @@ Element = Tuple[int, ...]
 # coefficient rings
 
 
-class RationalField:
-    name = "Q"
+class _NumberRing:
+    """Z or Q: Python's own operators on int or Fraction elements."""
 
     def characteristic(self) -> int:
         return 0
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def coerce(self, v):
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
-        raise TypeError(f"cannot coerce {v!r} into Q")
 
     def add(self, a, b):
         return a + b
@@ -82,15 +68,27 @@ class RationalField:
     def pow(self, a, e: int):
         return a ** e
 
-    def p_unit_inverse(self, p: int):
-        return Fraction(1, p)
+
+class RationalField(_NumberRing):
+    name = "Q"
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n: int):
+        return Fraction(n)
+
+    def coerce(self, v):
+        if isinstance(v, (Fraction, int, str)):
+            return Fraction(v)
+        raise TypeError(f"cannot coerce {v!r} into Q")
 
 
-class IntegerRing:
+class IntegerRing(_NumberRing):
     name = "Z"
-
-    def characteristic(self) -> int:
-        return 0
 
     def zero(self):
         return 0
@@ -105,24 +103,6 @@ class IntegerRing:
         if isinstance(v, int):
             return v
         raise TypeError(f"cannot coerce {v!r} into Z")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, e: int):
-        return a ** e
-
-    def p_unit_inverse(self, p: int):
-        return None
 
 
 class ModRing:
@@ -163,12 +143,6 @@ class ModRing:
 
     def pow(self, a, e: int):
         return pow(a, e, self.m)
-
-    def p_unit_inverse(self, p: int):
-        try:
-            return pow(p, -1, self.m)
-        except ValueError:
-            return None
 
 
 def _poly_mod(a: List[int], b: List[int], p: int) -> List[int]:
@@ -293,9 +267,6 @@ class UnramWittCarrier:
         if isinstance(v, (tuple, list)):
             return self.element(v)
         raise TypeError(f"cannot coerce {v!r} into {self.name}")
-
-    def p_unit_inverse(self, p: int) -> Optional[Element]:
-        return None if p % self.p == 0 else self.from_int(pow(p, -1, self.pN))
 
     def gen(self) -> Element:
         if self.m == 1:
@@ -510,11 +481,8 @@ class MPoly:
         e[i] = 1
         return MPoly(nvars, {tuple(e): Fraction(1)})
 
-    def copy_terms(self) -> Dict[Tuple[int, ...], Fraction]:
-        return dict(self.terms)
-
     def __add__(self, other: "MPoly") -> "MPoly":
-        terms = self.copy_terms()
+        terms = dict(self.terms)
         for e, c in other.terms.items():
             nc = terms.get(e, Fraction(0)) + c
             if nc:
@@ -646,20 +614,17 @@ class WittContext:
             raise ValueError(f"{self.p} is not prime")
         if self.n < 1:
             raise ValueError("truncation length must be >= 1")
-        # the route of the ring laws (module docstring): the ring in which
-        # ghost components are taken, or the carrier of the Teichmuller bridge
-        ring, ghost_ring, bridge = self.ring, None, None
-        if ring.p_unit_inverse(self.p) is not None or isinstance(ring, IntegerRing):
-            ghost_ring = ring
+        # the route of the ring laws (module docstring)
+        ring, lift, bridge = self.ring, None, None
+        if isinstance(ring, _NumberRing):
+            lift = IntegerRing()
         elif isinstance(ring, ModRing):
-            # p | m: a = b mod m implies a^(p^j) = b^(p^j) mod m p^j, so the
-            # lift needs only Z/(m p^(n-1)), not Z with its growing powers
-            ghost_ring = ModRing(ring.m * self.p ** (self.n - 1))
+            lift = ModRing(ring.m * self.p ** (self.n - 1))
         elif isinstance(ring, UnramWittCarrier) and ring.characteristic() == self.p:
             bridge = UnramWittCarrier(self.p, ring.m, self.n, ring.modulus_fp)
         else:
             raise ValueError(f"no Witt vector arithmetic over {getattr(ring, 'name', ring)} at p = {self.p}")
-        object.__setattr__(self, "_ghost_ring", ghost_ring)
+        object.__setattr__(self, "_lift", lift)
         object.__setattr__(self, "_bridge", bridge)
 
     def vector(self, coords: Sequence) -> "WittVector":
@@ -690,33 +655,41 @@ class WittContext:
         return -out if value < 0 else out
 
     def _apply(self, law: str, *coords) -> "WittVector":
-        """The ring law ``law`` ("add", "mul" or "neg") on coordinate tuples."""
+        """The ring law ``law`` ("add", "mul", "neg" or "frob") on
+        coordinate tuples."""
         bridge = self._bridge
         if bridge is not None:
             out = getattr(bridge, law)(*(bridge.from_witt_coords(c) for c in coords))
             return WittVector(self, bridge.to_witt_coords(out))
-        ring = self._ghost_ring
-        ghosts = [[witt_polynomial(self.p, m, c, ring) for m in range(self.n)] for c in coords]
-        return self._from_ghost([getattr(ring, law)(*g) for g in zip(*ghosts)])
+        if not isinstance(self.ring, RationalField):
+            return WittVector(self, tuple(self.ring.coerce(c) for c in self._from_ghost(law, coords)))
+        # Q: the law on [D]x, unscaled by [D] (add, neg), [D^2] (mul) or [D^p]
+        p = self.p
+        d = lcm(*(c.denominator for vector in coords for c in vector))
+        scaled = [tuple(c.numerator * (d ** p ** i // c.denominator) for i, c in enumerate(vector))
+                  for vector in coords]
+        unit = d ** {"mul": 2, "frob": p}.get(law, 1)
+        return WittVector(self, tuple(Fraction(c, unit ** p ** i) for i, c in enumerate(self._from_ghost(law, scaled))))
 
-    def _from_ghost(self, components: Sequence) -> "WittVector":
-        """Solve w_m(x) = components[m] over the ghost ring -- the ring
-        itself when p is invertible there, else Z or Z/(m p^(n-1)), where the
-        division by p^m must be exact -- and map x into the ring."""
-        ring, p = self._ghost_ring, self.p
-        pinv = ring.p_unit_inverse(p)
-        coords: List = []
+    def _from_ghost(self, law: str, coords) -> List[int]:
+        """The law on integer coordinates: ghost components in the lift ring
+        (for "frob", w_1..w_n of the zero-extended vector), the operation on
+        them, and the solve of w_m(x) = components[m], exact division by p^m."""
+        ring, p = self._lift, self.p
+        if law == "frob":
+            components = _ghosts(p, self.n + 1, coords[0] + (0,), ring)[1:]
+        else:
+            ghosts = [_ghosts(p, self.n, c, ring) for c in coords]
+            components = [getattr(ring, law)(*g) for g in zip(*ghosts)]
+        out: List[int] = []
         for m, acc in enumerate(components):
             for i in range(m):
-                acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(coords[i], p ** (m - i))))
-            if pinv is not None:
-                coords.append(ring.mul(acc, ring.pow(pinv, m)))
-                continue
+                acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(out[i], p ** (m - i))))
             quotient, rest = divmod(acc, p ** m)
             if rest:
                 raise ArithmeticError(f"W_{self.n} at p = {p}: coordinate {m} of the lift is not integral")
-            coords.append(quotient)
-        return WittVector(self, tuple(self.ring.coerce(c) for c in coords))
+            out.append(quotient)
+        return out
 
 
 @dataclass(frozen=True)
@@ -748,30 +721,48 @@ class WittVector:
         return hash(self.coords)
 
 
+def _ghosts(p: int, count: int, values: Sequence, ring) -> List:
+    """w_0, ..., w_(count-1) of values, each x_i^(p^k) formed once as the
+    p-th power of x_i^(p^(k-1))."""
+    out = [ring.zero()] * count
+    for i, x in enumerate(values[:count]):
+        scale = ring.from_int(p ** i)
+        for m in range(i, count):
+            if m > i:
+                x = ring.pow(x, p)
+            out[m] = ring.add(out[m], ring.mul(scale, x))
+    return out
+
+
 def witt_polynomial(p: int, n: int, values: Sequence, ring) -> object:
     """w_n(x_0, ..., x_n) = x_0^(p^n) + p x_1^(p^(n-1)) + ... + p^n x_n."""
     if n < 0 or n >= len(values):
         raise ValueError("witt polynomial index out of range")
-    acc = ring.zero()
-    for i in range(n + 1):
-        term = ring.mul(ring.from_int(p ** i), ring.pow(values[i], p ** (n - i)))
-        acc = ring.add(acc, term)
-    return acc
+    return _ghosts(p, n + 1, values, ring)[n]
 
 
 def ghost(x: WittVector) -> List:
-    ring = x.ctx.ring
-    return [witt_polynomial(x.ctx.p, m, x.coords[: m + 1], ring) for m in range(x.ctx.n)]
+    return _ghosts(x.ctx.p, x.ctx.n, x.coords, x.ctx.ring)
 
 
 def ghost_inverse(ctx: WittContext, components: Sequence) -> WittVector:
-    """Triangular solve of the ghost equations; requires p invertible."""
-    ring = ctx.ring
-    if ring.p_unit_inverse(ctx.p) is None:
-        raise ValueError(f"p = {ctx.p} is not invertible in {getattr(ring, 'name', ring)}")
+    """Triangular solve of the ghost equations in the ring itself; requires
+    p invertible there (Q, or Z/m with p prime to m)."""
+    ring, p = ctx.ring, ctx.p
+    if isinstance(ring, RationalField):
+        pinv = Fraction(1, p)
+    elif isinstance(ring, ModRing) and ring.m % p:
+        pinv = pow(p, -1, ring.m)
+    else:
+        raise ValueError(f"p = {p} is not invertible in {ring.name}")
     if len(components) != ctx.n:
         raise ValueError("ghost component count mismatch")
-    return ctx._from_ghost(components)
+    coords: List = []
+    for m, acc in enumerate(components):
+        for i in range(m):
+            acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(coords[i], p ** (m - i))))
+        coords.append(ring.mul(acc, ring.pow(pinv, m)))
+    return WittVector(ctx, tuple(coords))
 
 
 def verschiebung(x: WittVector) -> WittVector:
@@ -784,19 +775,7 @@ def frobenius(x: WittVector) -> WittVector:
     """sigma: coordinatewise p-th powers in characteristic p; otherwise the
     vector whose ghost components are w_1, ..., w_n of the zero-extended
     (x_0, ..., x_{n-1}, 0)."""
-    ctx = x.ctx
-    ring = ctx.ring
-    char = ring.characteristic()
-    if char == ctx.p:
+    ctx, ring = x.ctx, x.ctx.ring
+    if ring.characteristic() == ctx.p:
         return WittVector(ctx, tuple(ring.pow(c, ctx.p) for c in x.coords))
-    if char != 0 and char % ctx.p == 0:
-        m = char
-        while m % ctx.p == 0:
-            m //= ctx.p
-        if m != 1:
-            raise ValueError(
-                f"frobenius unsupported over {getattr(ring, 'name', ring)}: "
-                f"p divides the characteristic, which is not a power of p"
-            )
-    values = x.coords + (ctx._ghost_ring.zero(),)
-    return ctx._from_ghost([witt_polynomial(ctx.p, m, values, ctx._ghost_ring) for m in range(1, ctx.n + 1)])
+    return ctx._apply("frob", x.coords)

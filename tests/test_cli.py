@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -459,10 +460,8 @@ def _names_a_payload_field(detail, payload):
     return True
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=st.sampled_from(PROPERTY_ARGV), payload=json_values | mutated_golden())
-def test_any_payload_gets_an_honest_answer(argv, payload):
-    text = json.dumps(payload)
+def _stdout_in_process(argv, text):
+    """(exit status, stdout) of main(argv) reading text on stdin."""
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -471,9 +470,43 @@ def test_any_payload_gets_an_honest_answer(argv, payload):
             code = main(argv)
     finally:
         sys.stdin = saved
-    doc = json.loads(out.getvalue())
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=st.sampled_from(PROPERTY_ARGV), payload=json_values | mutated_golden())
+def test_any_payload_gets_an_honest_answer(argv, payload):
+    code, out = _stdout_in_process(argv, json.dumps(payload))
+    doc = json.loads(out)
     assert code in (0, 1, 2)
     if code:
         assert set(doc) == {"error", "detail"} and doc["error"] != "internal", doc
     if code == 2:
         assert doc["error"] == "parse" and _names_a_payload_field(doc["detail"], payload), doc
+
+
+WITT_GOLDEN = Path(__file__).parent / "data" / "witt_golden.jsonl"
+
+
+def test_witt_golden_invocations():
+    # argv, payload, stdout and exit status of 384 witt calls over Q, Z, F_p,
+    # F_q and ten Z/m, p in {2, 3, 5}, lengths 1-6, all eight ops
+    rows = [json.loads(line) for line in WITT_GOLDEN.read_text().splitlines()]
+    assert len(rows) >= 300
+    for row in rows:
+        assert _stdout_in_process(row["argv"], row["payload"]) == (row["status"], row["stdout"]), row
+
+
+def test_registry_that_is_not_json(tmp_path, monkeypatch, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text("not json")
+    code, doc = _main_in_process(["rec", "--registry", str(registry)], ST2, monkeypatch, capsys)
+    assert code == 1 and doc["error"] == "RegistryError"
+    assert doc["detail"].startswith(f"{registry}: not a JSON document")
+
+
+def test_large_prime_p_answers_quickly():
+    start = time.perf_counter()
+    code, out = run_cli(["rec", "--p", "1000000000000000003"], ST2, timeout=10)
+    assert code == 0 and json.loads(out)["blocks"][0]["m"] == 2
+    assert time.perf_counter() - start < 2.0
