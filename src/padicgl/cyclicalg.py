@@ -8,9 +8,9 @@ also the finite field at N = 1).  It is isomorphic to the length-N Witt
 vectors via Teichmuller digits; :mod:`wittring` computes F_{p^r} Witt
 arithmetic through that isomorphism, and the test suite checks the result
 against the universal polynomials, which do not use it.  The Frobenius
-sigma_K is the unique automorphism inducing x -> x^q on the residue field,
-realized by Hensel-lifting the generator image and verified to have exact
-order s.
+sigma_K is the unique automorphism inducing x -> x^q on the residue field:
+sigma_K(x) is the Newton root of F started at x^q (by Hensel's lemma the
+only root congruent to x^q), and sigma_K is verified to have exact order s.
 
 Only unramified base fields are supported here (pi_K = p); the
 representation-theoretic modules never consume this restriction since they
@@ -48,33 +48,43 @@ class UnramifiedContext:
             raise ValueError("f and s must be >= 1")
         carrier = UnramWittCarrier(self.p, self.f * self.s, self.precision)
         object.__setattr__(self, "_carrier", carrier)
-        gen = carrier.gen()
-        # sigma_K generator image: apply the base Frobenius lift f times
-        g1 = gen
-        for _ in range(self.f):
-            g1 = carrier.base_frobenius(g1)
-        imgs = [gen, g1]
-        for _ in range(2, self.s):
-            imgs.append(carrier.substitute(imgs[-1], g1))
-        # sigma_K^j is Z/p^N-linear: row t of its matrix holds coefficient t
-        # of sigma_K^j(x^c) for c = 0..m-1
-        matrices = []
-        for img in imgs[: self.s]:
+        gen, m = carrier.gen(), carrier.m
+        # sigma_K(x): Newton from x^q to a root of F; one evaluator serves F
+        # and F', over their nonzero terms
+        f_terms = [(i, c) for i, c in enumerate(carrier.modulus_low + (1,)) if c]
+        df_terms = [(i - 1, i * c) for i, c in f_terms if i]
+
+        def evaluate(terms, y):
+            return carrier.dot((carrier.from_int(c), carrier.pow(y, i)) for i, c in terms)
+
+        root = carrier.pow(gen, self.q)
+        for _ in range(max(1, (self.precision - 1).bit_length() + 2)):
+            fy = evaluate(f_terms, root)
+            if carrier.is_zero(fy):
+                break
+            root = carrier.sub(root, carrier.mul(fy, carrier.inv_unit(evaluate(df_terms, root))))
+        if not carrier.is_zero(evaluate(f_terms, root)):
+            raise ArithmeticError("Frobenius lift did not converge")
+
+        def matrix(img):
+            # sigma_K^j is Z/p^N-linear: row t of its matrix holds
+            # coefficient t of sigma_K^j(x^c) = img^c for c = 0..m-1
             powers = [carrier.one()]
-            for _ in range(1, carrier.m):
+            while len(powers) < m:
                 powers.append(carrier.mul(powers[-1], img))
-            matrices.append(tuple(zip(*powers)))
-        object.__setattr__(self, "_sigma_matrices", tuple(matrices))
-        if self.s > 1:
-            closure = carrier.substitute(imgs[-1], g1)
-            if closure != gen:
-                raise ArithmeticError("sigma_K does not have order s on the carrier")
-            for j in range(1, self.s):
-                if imgs[j] == gen:
-                    raise ArithmeticError("sigma_K has order smaller than s")
-        else:
-            if g1 != gen:
-                raise ArithmeticError("sigma_K must be trivial when s = 1")
+            return tuple(zip(*powers))
+
+        # imgs[j] = sigma_K^j(x), by the matrix of sigma_K (index 0 is unread)
+        object.__setattr__(self, "_sigma_matrices", (None, matrix(root)))
+        imgs = [gen, root]
+        while len(imgs) <= self.s:
+            imgs.append(self.sigma(imgs[-1]))
+        object.__setattr__(self, "_sigma_matrices", self._sigma_matrices + tuple(map(matrix, imgs[2:self.s])))
+        if imgs[self.s] != gen:  # imgs[1] = root when s = 1
+            raise ArithmeticError("sigma_K must be trivial when s = 1" if self.s == 1
+                                  else "sigma_K does not have order s on the carrier")
+        if gen in imgs[1:self.s]:
+            raise ArithmeticError("sigma_K has order smaller than s")
 
     @property
     def q(self) -> int:

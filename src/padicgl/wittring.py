@@ -17,9 +17,13 @@ of two routes per coefficient ring R:
   xy = [D^2]^-1([D]x [D]y) and F(x) = [D^p]^-1 F([D]x).
 
 Frobenius is coordinatewise p-th powers in characteristic p, and otherwise
-the lift route on the ghost of the zero-extended vector.  Only
-:func:`ghost_inverse` needs p invertible in R; it solves in R itself.
-:func:`universal_polynomials` solves the laws symbolically over Q; no
+the lift route on the ghost of the zero-extended vector.  :func:`_solve` is
+the one solve of w_m(x) = c_m: the lift route divides by p^m exactly,
+:func:`ghost_inverse` multiplies by p^-m in R (p must be a unit there), and
+``from_int(k)`` solves for the ghost components (k, ..., k), except over
+F_{p^r}, where it reads k through the bridge.  Over Z and Q an operation is
+refused before it forms an integer beyond :data:`WITT_BITS_CAP`.
+:func:`universal_polynomials` runs the same solve symbolically over Q; no
 runtime path evaluates them (their size grows exponentially with n), and
 the tests use them as the reference the routes are checked against.
 
@@ -53,6 +57,12 @@ class _NumberRing:
     def characteristic(self) -> int:
         return 0
 
+    def zero(self):
+        return self.from_int(0)
+
+    def one(self):
+        return self.from_int(1)
+
     def add(self, a, b):
         return a + b
 
@@ -72,12 +82,6 @@ class _NumberRing:
 class RationalField(_NumberRing):
     name = "Q"
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
     def from_int(self, n: int):
         return Fraction(n)
 
@@ -89,12 +93,6 @@ class RationalField(_NumberRing):
 
 class IntegerRing(_NumberRing):
     name = "Z"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n: int):
         return n
@@ -217,7 +215,8 @@ def find_irreducible(p: int, r: int) -> Tuple[int, ...]:
 class UnramWittCarrier:
     """(Z/p^N)[x]/(F): exact arithmetic in W_N(F_{p^m}).  F is a monic lift
     with digit coefficients of the irreducible ``modulus_fp`` over F_p; at
-    N = 1 this is the finite field F_{p^m} itself (:class:`GFRing`)."""
+    N = 1 this is the finite field F_{p^m} itself (:class:`GFRing`).  It is
+    the ring and its Teichmuller bridge only; sigma_K lives in cyclicalg."""
 
     def __init__(self, p: int, m: int, precision: int, modulus_fp: Optional[Tuple[int, ...]] = None):
         if not is_prime(p):
@@ -237,7 +236,6 @@ class UnramWittCarrier:
         self.residue = self if precision == 1 else GFRing(p, m, self.modulus_fp)
         # monic lift with digit coefficients; only the lower part is stored
         self.modulus_low = tuple(c % p for c in self.modulus_fp[:m])
-        self._frob_gen: Optional[Element] = None
         self._teichmuller: Dict[Element, Element] = {}
 
     # -- basic ring structure ------------------------------------------------
@@ -317,9 +315,6 @@ class UnramWittCarrier:
                 a = self.mul(a, a)
         return self.one() if out is None else out
 
-    def eq(self, a: Element, b: Element) -> bool:
-        return a == b
-
     def is_zero(self, a: Element) -> bool:
         return all(c == 0 for c in a)
 
@@ -356,54 +351,9 @@ class UnramWittCarrier:
         two = self.from_int(2)
         for _ in range(steps):
             z = self.mul(z, self.sub(two, self.mul(a, z)))
-        if not self.eq(self.mul(a, z), self.one()):
+        if self.mul(a, z) != self.one():
             raise ArithmeticError("Hensel inversion failed")
         return z
-
-    # -- Frobenius lift ------------------------------------------------------
-
-    def _modulus_eval(self, y: Element) -> Element:
-        acc = self.pow(y, self.m)
-        for i, c in enumerate(self.modulus_low):
-            if c:
-                acc = self.add(acc, self.scalar_mul(c, self.pow(y, i)))
-        return acc
-
-    def _modulus_derivative_eval(self, y: Element) -> Element:
-        acc = self.scalar_mul(self.m, self.pow(y, self.m - 1))
-        for i, c in enumerate(self.modulus_low):
-            if c and i >= 1:
-                acc = self.add(acc, self.scalar_mul(i * c, self.pow(y, i - 1)))
-        return acc
-
-    def frobenius_gen_image(self) -> Element:
-        """Hensel root of the modulus congruent to x^p mod p: the generator
-        image under the canonical lift of a -> a^p."""
-        if self._frob_gen is not None:
-            return self._frob_gen
-        y = self.pow(self.gen(), self.p)
-        for _ in range(max(1, (self.precision - 1).bit_length() + 2)):
-            fy = self._modulus_eval(y)
-            if self.is_zero(fy):
-                break
-            dy = self._modulus_derivative_eval(y)
-            y = self.sub(y, self.mul(fy, self.inv_unit(dy)))
-        if not self.is_zero(self._modulus_eval(y)):
-            raise ArithmeticError("Frobenius lift did not converge")
-        self._frob_gen = y
-        return y
-
-    def substitute(self, a: Element, image: Element) -> Element:
-        """Evaluate a (a polynomial in the generator with integer digits)
-        at the given generator image; since the coefficients are Z/p^N
-        constants this realizes any lift-of-residue automorphism."""
-        acc = self.zero()
-        for c in reversed(a):
-            acc = self.add(self.mul(acc, image), self.from_int(c))
-        return acc
-
-    def base_frobenius(self, a: Element) -> Element:
-        return self.substitute(a, self.frobenius_gen_image())
 
     # -- Teichmuller bridge to coordinate Witt vectors ------------------------
 
@@ -543,6 +493,25 @@ class MPoly:
         return acc
 
 
+class _PolyRing:
+    """Q[x_0, ..., x_(nvars-1)] as a coefficient ring, for :func:`_solve`."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+
+    def from_int(self, n: int) -> MPoly:
+        return MPoly.const(self.nvars, Fraction(n))
+
+    def sub(self, a: MPoly, b: MPoly) -> MPoly:
+        return a - b
+
+    def mul(self, a: MPoly, b: MPoly) -> MPoly:
+        return a * b
+
+    def pow(self, a: MPoly, e: int) -> MPoly:
+        return a.pow(e)
+
+
 def _ghost_poly(nvars: int, offset: int, n: int, p: int) -> MPoly:
     """w_n in the variables offset..offset+n."""
     out = MPoly(nvars)
@@ -563,37 +532,21 @@ def universal_polynomials(p: int, n: int) -> Dict[str, List[MPoly]]:
     if cached is not None:
         return cached
 
-    nv2 = 2 * n
-    sums: List[MPoly] = []
-    prods: List[MPoly] = []
-    negs: List[MPoly] = []
-    for m in range(n):
-        wx = _ghost_poly(nv2, 0, m, p)
-        wy = _ghost_poly(nv2, n, m, p)
-        target_sum = wx + wy
-        target_prod = wx * wy
-        target_neg = wx.scale(Fraction(-1))
-        for seq, target in ((sums, target_sum), (prods, target_prod), (negs, target_neg)):
-            acc = target
-            for i in range(m):
-                acc = acc - seq[i].pow(p ** (m - i)).scale(Fraction(p ** i))
-            poly = acc.scale(Fraction(1, p ** m))
-            if not poly.is_integral():
-                raise RuntimeError(f"universal law for W_{n} at p={p} is not integral")
-            seq.append(poly)
-
-    nv1 = n + 1
-    frobs: List[MPoly] = []
-    for m in range(n):
-        acc = _ghost_poly(nv1, 0, m + 1, p)
-        for i in range(m):
-            acc = acc - frobs[i].pow(p ** (m - i)).scale(Fraction(p ** i))
-        poly = acc.scale(Fraction(1, p ** m))
+    def divide(poly: MPoly, m: int) -> MPoly:
+        poly = poly.scale(Fraction(1, p ** m))
         if not poly.is_integral():
-            raise RuntimeError(f"universal Frobenius for W_{n} at p={p} is not integral")
-        frobs.append(poly)
+            raise RuntimeError(f"universal law for W_{n} at p={p} is not integral")
+        return poly
 
-    out = {"sum": sums, "prod": prods, "neg": negs, "frob": frobs}
+    two, one = _PolyRing(2 * n), _PolyRing(n + 1)
+    wx = [_ghost_poly(2 * n, 0, m, p) for m in range(n)]
+    wy = [_ghost_poly(2 * n, n, m, p) for m in range(n)]
+    out = {
+        "sum": _solve(two, p, [a + b for a, b in zip(wx, wy)], divide),
+        "prod": _solve(two, p, [a * b for a, b in zip(wx, wy)], divide),
+        "neg": _solve(two, p, [a.scale(Fraction(-1)) for a in wx], divide),
+        "frob": _solve(one, p, [_ghost_poly(n + 1, 0, m + 1, p) for m in range(n)], divide),
+    }
     _UNIVERSAL_CACHE[key] = out
     return out
 
@@ -601,6 +554,31 @@ def universal_polynomials(p: int, n: int) -> Dict[str, List[MPoly]]:
 # ---------------------------------------------------------------------------
 # Witt vectors
 
+
+#: Bits of the largest integer a Witt operation over Z or Q may form (y^(p^e)
+#: has at most p^e bitlen(y)); the slowest op at the cap took 0.4 s on a 2-core Xeon.
+WITT_BITS_CAP = 1 << 17
+
+
+def _check_size(ring, p: int, top: int, values: Sequence) -> None:
+    """Over Z or Q, refuse before any power is formed if values[i]^(p^(top-i))
+    may pass the cap (a fraction counts both its parts; p^e is clipped)."""
+    for i, y in enumerate(values if isinstance(ring, _NumberRing) else ()):
+        bits = abs(y.numerator).bit_length() + y.denominator.bit_length() - 1
+        if bits * p ** min(top - i, WITT_BITS_CAP.bit_length()) > WITT_BITS_CAP:
+            raise ValueError(f"Witt vectors over Z or Q at p = {p}: raising a {bits}-bit value to "
+                             f"p^{top - i} passes the cap of {WITT_BITS_CAP} bits")
+
+
+def _solve(ring, p: int, components: Sequence, divide) -> List:
+    """The x with w_m(x) = components[m], m = 0, 1, ...: x_m is
+    divide(components[m] - sum_{i<m} p^i x_i^(p^(m-i)), m), i.e. / p^m."""
+    out: List = []
+    for m, acc in enumerate(components):
+        for i in range(m):
+            acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(out[i], p ** (m - i))))
+        out.append(divide(acc, m))
+    return out
 
 
 @dataclass(frozen=True)
@@ -640,56 +618,45 @@ class WittContext:
         return WittVector(self, (self.ring.one(),) + (self.ring.zero(),) * (self.n - 1))
 
     def from_int(self, value: int) -> "WittVector":
-        """Image of an integer under the unique ring map Z -> W_n(R), by
-        double-and-add: O(log |value|) Witt additions and, for a negative
-        value, one negation."""
-        out = self.zero()
-        power = self.one()  # 2^k for the bit k of |value| being read
-        count = abs(value)
-        while count:
-            if count & 1:
-                out = out + power
-            count >>= 1
-            if count:
-                power = power + power
-        return -out if value < 0 else out
+        """Image of an integer under the unique ring map Z -> W_n(R): the
+        vector with ghost components (value, ..., value)."""
+        if self._bridge is not None:
+            return WittVector(self, self._bridge.to_witt_coords(self._bridge.from_int(value)))
+        _check_size(self._lift, self.p, self.n - 1, (value,))
+        coords = _solve(self._lift, self.p, [self._lift.from_int(value)] * self.n, self._divide)
+        return WittVector(self, tuple(self.ring.coerce(c) for c in coords))
 
     def _apply(self, law: str, *coords) -> "WittVector":
-        """The ring law ``law`` ("add", "mul", "neg" or "frob") on
-        coordinate tuples."""
-        bridge = self._bridge
+        """The ring law ``law`` ("add", "mul", "neg" or "frob", on w_1..w_n
+        of the zero-extended vector) on coordinate tuples."""
+        bridge, ring, p = self._bridge, self._lift, self.p
         if bridge is not None:
             out = getattr(bridge, law)(*(bridge.from_witt_coords(c) for c in coords))
             return WittVector(self, bridge.to_witt_coords(out))
-        if not isinstance(self.ring, RationalField):
-            return WittVector(self, tuple(self.ring.coerce(c) for c in self._from_ghost(law, coords)))
-        # Q: the law on [D]x, unscaled by [D] (add, neg), [D^2] (mul) or [D^p]
-        p = self.p
-        d = lcm(*(c.denominator for vector in coords for c in vector))
-        scaled = [tuple(c.numerator * (d ** p ** i // c.denominator) for i, c in enumerate(vector))
-                  for vector in coords]
-        unit = d ** {"mul": 2, "frob": p}.get(law, 1)
-        return WittVector(self, tuple(Fraction(c, unit ** p ** i) for i, c in enumerate(self._from_ghost(law, scaled))))
-
-    def _from_ghost(self, law: str, coords) -> List[int]:
-        """The law on integer coordinates: ghost components in the lift ring
-        (for "frob", w_1..w_n of the zero-extended vector), the operation on
-        them, and the solve of w_m(x) = components[m], exact division by p^m."""
-        ring, p = self._lift, self.p
+        rational = isinstance(self.ring, RationalField)
+        if rational:  # the law on [D]x, unscaled by [D] (add, neg), [D^2] (mul) or [D^p]
+            d = lcm(*(c.denominator for vector in coords for c in vector))
+            if d > 1:  # the scaling forms D^(p^(n-1)), and D^(p^n) for "frob"
+                _check_size(ring, p, self.n if law == "frob" else self.n - 1, (d,))
+            coords = [tuple(c.numerator * (d ** p ** i // c.denominator) for i, c in enumerate(vector))
+                      for vector in coords]
         if law == "frob":
             components = _ghosts(p, self.n + 1, coords[0] + (0,), ring)[1:]
         else:
             ghosts = [_ghosts(p, self.n, c, ring) for c in coords]
             components = [getattr(ring, law)(*g) for g in zip(*ghosts)]
-        out: List[int] = []
-        for m, acc in enumerate(components):
-            for i in range(m):
-                acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(out[i], p ** (m - i))))
-            quotient, rest = divmod(acc, p ** m)
-            if rest:
-                raise ArithmeticError(f"W_{self.n} at p = {p}: coordinate {m} of the lift is not integral")
-            out.append(quotient)
-        return out
+        out = _solve(ring, p, components, self._divide)
+        if not rational:
+            return WittVector(self, tuple(self.ring.coerce(c) for c in out))
+        unit = d ** {"mul": 2, "frob": p}.get(law, 1)
+        return WittVector(self, tuple(Fraction(c, unit ** p ** i) for i, c in enumerate(out)))
+
+    def _divide(self, acc: int, m: int) -> int:
+        """acc / p^m in the lift ring, exact on the ghost of a lifted vector."""
+        quotient, rest = divmod(acc, self.p ** m)
+        if rest:
+            raise ArithmeticError(f"W_{self.n} at p = {self.p}: coordinate {m} of the lift is not integral")
+        return quotient
 
 
 @dataclass(frozen=True)
@@ -723,9 +690,11 @@ class WittVector:
 
 def _ghosts(p: int, count: int, values: Sequence, ring) -> List:
     """w_0, ..., w_(count-1) of values, each x_i^(p^k) formed once as the
-    p-th power of x_i^(p^(k-1))."""
+    p-th power of x_i^(p^(k-1)); over Z or Q within the size cap."""
+    values = values[:count]
+    _check_size(ring, p, count - 1, values)
     out = [ring.zero()] * count
-    for i, x in enumerate(values[:count]):
+    for i, x in enumerate(values):
         scale = ring.from_int(p ** i)
         for m in range(i, count):
             if m > i:
@@ -746,8 +715,8 @@ def ghost(x: WittVector) -> List:
 
 
 def ghost_inverse(ctx: WittContext, components: Sequence) -> WittVector:
-    """Triangular solve of the ghost equations in the ring itself; requires
-    p invertible there (Q, or Z/m with p prime to m)."""
+    """The solve in the ring itself, multiplying by p^-m; requires p
+    invertible there (Q, or Z/m with p prime to m)."""
     ring, p = ctx.ring, ctx.p
     if isinstance(ring, RationalField):
         pinv = Fraction(1, p)
@@ -757,12 +726,8 @@ def ghost_inverse(ctx: WittContext, components: Sequence) -> WittVector:
         raise ValueError(f"p = {p} is not invertible in {ring.name}")
     if len(components) != ctx.n:
         raise ValueError("ghost component count mismatch")
-    coords: List = []
-    for m, acc in enumerate(components):
-        for i in range(m):
-            acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(coords[i], p ** (m - i))))
-        coords.append(ring.mul(acc, ring.pow(pinv, m)))
-    return WittVector(ctx, tuple(coords))
+    _check_size(ring, p, ctx.n - 1, components)
+    return WittVector(ctx, tuple(_solve(ring, p, components, lambda acc, m: ring.mul(acc, ring.pow(pinv, m)))))
 
 
 def verschiebung(x: WittVector) -> WittVector:

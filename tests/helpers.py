@@ -234,3 +234,19 @@ def leibniz_det(carrier, mat):
             term = carrier.mul(term, mat[i][perm[i]])
         det = carrier.add(det, carrier.neg(term) if inversions % 2 else term)
     return det
+
+
+def from_int_by_doubling(ctx, value):
+    """Reference image of an integer in W_n(R): double-and-add, O(log |value|)
+    Witt additions and, for a negative value, one negation (what
+    WittContext.from_int did before it solved the ghost equations)."""
+    out = ctx.zero()
+    power = ctx.one()  # 2^k for the bit k of |value| being read
+    count = abs(value)
+    while count:
+        if count & 1:
+            out = out + power
+        count >>= 1
+        if count:
+            power = power + power
+    return -out if value < 0 else out

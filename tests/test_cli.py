@@ -505,6 +505,16 @@ def test_registry_that_is_not_json(tmp_path, monkeypatch, capsys):
     assert doc["detail"].startswith(f"{registry}: not a JSON document")
 
 
+def test_witt_over_z_at_a_large_p_is_refused_quickly():
+    # x_0^(p^2) at p = 6007 would have about 7 * 10^7 bits
+    start = time.perf_counter()
+    code, out = run_cli(["witt", "--ring", "Z", "--p", "6007", "--length", "3"],
+                        '{"op": "neg", "x": [3, 0, 0]}', timeout=60)
+    doc = json.loads(out)
+    assert code == 1 and doc["error"] == "ValueError" and "passes the cap of" in doc["detail"]
+    assert time.perf_counter() - start < 2.0
+
+
 def test_large_prime_p_answers_quickly():
     start = time.perf_counter()
     code, out = run_cli(["rec", "--p", "1000000000000000003"], ST2, timeout=10)

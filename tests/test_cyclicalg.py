@@ -16,7 +16,7 @@ from padicgl.cyclicalg import (
     etale_inf_height,
     v_power_matrix,
 )
-from padicgl.wittring import GFRing, WittContext
+from padicgl.wittring import GFRing, WittContext, frobenius
 
 from helpers import etale_height_by_iteration, leibniz_det, v_power_by_iteration
 
@@ -359,7 +359,32 @@ def test_dieudonne_lie_algebra_rank():
 # cross-validation against the coordinate Witt vectors
 
 
-@pytest.mark.parametrize("p,m,n", [(2, 1, 3), (2, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("p,f,s,n", [(2, 1, 3, 4), (3, 2, 2, 3), (2, 3, 2, 4), (5, 2, 3, 3), (2, 2, 4, 5), (3, 3, 2, 2)])
+def test_sigma_is_the_lift_of_the_q_power_frobenius(p, f, s, n):
+    # a ring endomorphism of the carrier that fixes Z/p^N is determined by
+    # the image of x, a root of F; reducing to a -> a^q makes that root the
+    # unique one congruent to x^q, so these properties pin sigma_K
+    ctx = UnramifiedContext(p, f, s, n)
+    carrier = ctx.carrier
+    rng = random.Random(p * 1000 + f * 100 + s * 10 + n)
+
+    def rand():
+        return carrier.element([rng.randrange(carrier.pN) for _ in range(carrier.m)])
+
+    seven = carrier.from_int(7)
+    assert ctx.sigma(seven) == seven
+    for _ in range(20):
+        a, b = rand(), rand()
+        assert ctx.sigma(carrier.add(a, b)) == carrier.add(ctx.sigma(a), ctx.sigma(b))
+        assert ctx.sigma(carrier.mul(a, b)) == carrier.mul(ctx.sigma(a), ctx.sigma(b))
+        assert carrier.reduce_mod_p(ctx.sigma(a)) == carrier.residue.pow(carrier.reduce_mod_p(a), ctx.q)
+        image = a
+        for _ in range(s):
+            image = ctx.sigma(image)
+        assert image == a
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 3), (2, 2, 2), (3, 2, 2), (2, 3, 4), (3, 3, 3), (5, 2, 3)])
 def test_carrier_is_isomorphic_to_witt_vectors(p, m, n):
     carrier_ctx = UnramifiedContext(p, 1, m, n)
     carrier = carrier_ctx.carrier
@@ -381,9 +406,7 @@ def test_carrier_is_isomorphic_to_witt_vectors(p, m, n):
         for y in vectors[:10]:
             assert iso(x + y) == carrier.add(iso(x), iso(y))
             assert iso(x * y) == carrier.mul(iso(x), iso(y))
-    # sigma on the carrier matches the Witt Frobenius through the bridge
-    from padicgl.wittring import frobenius
-
-    if m == 1:
-        for x in vectors[:10]:
-            assert iso(frobenius(x)) == carrier.base_frobenius(iso(x))
+    # sigma_K (q = p) on the carrier matches the Witt Frobenius through the
+    # bridge, in every degree m
+    for x in vectors:
+        assert iso(frobenius(x)) == carrier_ctx.sigma(iso(x))

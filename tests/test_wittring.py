@@ -12,6 +12,7 @@ from padicgl.wittring import (
     IntegerRing,
     ModRing,
     RationalField,
+    WITT_BITS_CAP,
     UnramWittCarrier,
     WittContext,
     find_irreducible,
@@ -23,7 +24,7 @@ from padicgl.wittring import (
     witt_polynomial,
 )
 
-from helpers import trial_division_irreducible
+from helpers import from_int_by_doubling, trial_division_irreducible
 
 QQ = RationalField()
 ZZ = IntegerRing()
@@ -281,6 +282,64 @@ def test_from_int_is_the_ring_map():
             for _ in range(abs(n)):
                 expected = expected + step
             assert ctx.from_int(n) == expected
+
+
+@st.composite
+def _from_int_case(draw):
+    """(ring, p, n, value) over Q, Z, Z/m (m in 2..60) or F_{p^r} (r <= 3)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    ring = draw(st.sampled_from((QQ, ZZ)) | st.integers(2, 60).map(ModRing)
+                | st.integers(1, 3).map(lambda r: GFRing(p, r)))
+    return ring, p, n, draw(st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_from_int_case())
+def test_from_int_matches_double_and_add(case):
+    ring, p, n, value = case
+    ctx = WittContext(ring, p, n)
+    image = ctx.from_int(value)
+    assert image == from_int_by_doubling(ctx, value)
+    if not isinstance(ring, GFRing):
+        assert ghost(image) == [ring.from_int(value)] * n
+
+
+_CAP_OPS = {
+    "add": (lambda ctx, x: x + x, 0),
+    "mul": (lambda ctx, x: x * x, 0),
+    "neg": (lambda ctx, x: -x, 0),
+    "frobenius": (lambda ctx, x: frobenius(x), 1),
+    "ghost": (lambda ctx, x: ghost(x), 0),
+    "ghost-inverse": (lambda ctx, x: ghost_inverse(ctx, x.coords), 0),
+    "witt-polynomial": (lambda ctx, x: witt_polynomial(ctx.p, ctx.n - 1, x.coords, ctx.ring), 0),
+    "from_int": (lambda ctx, x: ctx.from_int(x.coords[0]), 0),
+}
+
+
+@pytest.mark.parametrize("op,ring", [(op, ring) for op in sorted(_CAP_OPS) for ring in ("Z", "Q")
+                                     if (op, ring) != ("ghost-inverse", "Z")])  # p is not a unit in Z
+def test_size_cap_over_z_and_q(op, ring):
+    # x_0 is raised to p^(n-1) (p^n for Frobenius): at 2^(b-1), b bits, the
+    # largest integer formed has p^e * b bits; one more bit passes the cap
+    ring = {"Z": ZZ, "Q": QQ}[ring]
+    fn, extra = _CAP_OPS[op]
+    p, n = 2, 5
+    bits = WITT_BITS_CAP // p ** (n - 1 + extra)
+    ctx = WittContext(ring, p, n)
+    below = ctx.vector([2 ** (bits - 1), 1, 0, 3, 0])
+    fn(ctx, below)
+    above = ctx.vector([2 ** bits, 1, 0, 3, 0])
+    with pytest.raises(ValueError, match=f"passes the cap of {WITT_BITS_CAP} bits"):
+        fn(ctx, above)
+
+
+def test_size_cap_counts_the_scaling_over_q():
+    # [D]x forms D^(p^(n-1)): a denominator alone can pass the cap
+    ctx = WittContext(QQ, 6007, 3)
+    assert (ctx.vector([0, 0, 5]) + ctx.vector([0, 0, 7])).coords == (0, 0, 12)
+    with pytest.raises(ValueError, match="passes the cap"):
+        ctx.vector([0, 0, Fraction(1, 3)]) + ctx.one()
 
 
 def test_frobenius_char_p_is_pth_powers():
