@@ -26,12 +26,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .common import PayloadError, array, child_path, fraction_from_json, integer, record, string
+from .common import field as json_field  # field is dataclasses.field here
 from .qexact import (
     ExactScalar,
     GaussianRational,
     LocalFieldContext,
     _half_integer,
     _p_valuation,
+    as_q_power,
     canonical_scalar,
     norm_is_one,
 )
@@ -296,7 +298,7 @@ def standard_order(segs: Iterable[Segment]) -> List[Segment]:
     demands a strictly smaller minimum.  Ties are broken deterministically
     by label name, then descending twist, then descending length.
     """
-    return sorted(segs, key=lambda s: (s.start.label.name, -s.start.x, -s.m))
+    return sorted(segs, key=Segment.key)
 
 
 def involution_t(c: ClassData, resolve: bool = False) -> ClassData:
@@ -394,8 +396,8 @@ class LabelRegistry:
     """Immutable collection of inertial labels with wired dual involution
     and optional declared tensor-product labels."""
 
-    def __init__(self, labels: Sequence[InertialLabel], products: Optional[Dict[Tuple[str, str], str]] = None,
-                 ctx: Optional[LocalFieldContext] = None):
+    def __init__(self, labels: Sequence[InertialLabel], products: Dict[Tuple[str, str], str],
+                 ctx: LocalFieldContext):
         self._labels: Dict[str, InertialLabel] = {}
         self._ctx = ctx
         for lab in labels:
@@ -417,24 +419,19 @@ class LabelRegistry:
                         f"label {lab.name}: dual {partner.name} differs in {field_name}"
                     )
             object.__setattr__(lab, "_dual", partner)
-        if ctx is not None:
-            for lab in self._labels.values():
-                if lab.kind == KIND_SYMBOLIC and not norm_is_one(lab.omega, ctx):
-                    raise RegistryError(
-                        f"label {lab.name}: symbolic base point must be unitary at the uniformizer"
-                    )
+        for lab in self._labels.values():
+            if lab.kind == KIND_SYMBOLIC and not norm_is_one(lab.omega, ctx):
+                raise RegistryError(
+                    f"label {lab.name}: symbolic base point must be unitary at the uniformizer"
+                )
         self._products: Dict[Tuple[str, str], str] = {}
-        for (left, right), result in (products or {}).items():
+        for (left, right), result in products.items():
             for nm in (left, right, result):
                 if nm not in self._labels:
                     raise RegistryError(f"product table references unknown label {nm!r}")
             if self._labels[right].degree != 1:
                 raise RegistryError("product table: right factor must be a character label")
             self._products[(left, right)] = result
-
-    @property
-    def ctx(self) -> Optional[LocalFieldContext]:
-        return self._ctx
 
     def names(self) -> List[str]:
         return sorted(self._labels)
@@ -443,14 +440,10 @@ class LabelRegistry:
         return name in self._labels
 
     def resolve(self, name: str) -> InertialLabel:
-        lab = self._labels.get(name)
-        if lab is not None:
-            return lab
-        if self._ctx is not None:
-            ur = parse_unramified_name(name, self._ctx)
-            if ur is not None:
-                return ur
-        raise RegistryError(f"unknown label {name!r}")
+        lab = self._labels.get(name) or parse_unramified_name(name, self._ctx)
+        if lab is None:
+            raise RegistryError(f"unknown label {name!r}")
+        return lab
 
     def product(self, left: InertialLabel, right: InertialLabel) -> InertialLabel:
         result = self._products.get((left.name, right.name))
@@ -473,38 +466,29 @@ def scalar_from_json(doc, path: str = "") -> ExactScalar:
 
 
 def _label_from_json(rec, path: str) -> InertialLabel:
-    rec = record(rec, path)
-    try:
-        name, kind, degree = rec["name"], rec["kind"], rec["degree"]
-    except KeyError as exc:
-        raise RegistryError(f"label record missing field {exc}") from exc
+    def read(key, reader, *default):
+        return reader(json_field(rec, key, path, *default), child_path(path, key))
 
-    def optional(key, read, default):
-        return read(rec.get(key, default), child_path(path, key))
-
+    name = read("name", string)
     return InertialLabel(
-        name=string(name, child_path(path, "name")),
-        kind=kind,
-        degree=integer(degree, child_path(path, "degree")),
-        torsion=optional("torsion", integer, 1),
-        conductor=optional("conductor", integer, 0),
-        dual_name=optional("dual", string, name),
-        omega=optional("omegaAtUniformizer", scalar_from_json, {"re": [1, 1]}),
-        unit_class=optional("unitClass", string, "1"),
+        name=name,
+        kind=json_field(rec, "kind", path),
+        degree=read("degree", integer),
+        torsion=read("torsion", integer, 1),
+        conductor=read("conductor", integer, 0),
+        dual_name=read("dual", string, name),
+        omega=read("omegaAtUniformizer", scalar_from_json, {"re": [1, 1]}),
+        unit_class=read("unitClass", string, "1"),
     )
 
 
 def _product_from_json(rec, path: str) -> Tuple[Tuple[str, str], str]:
-    rec = record(rec, path)
-    try:
-        left, right, result = rec["left"], rec["right"], rec["result"]
-    except KeyError as exc:
-        raise RegistryError(f"product record missing field {exc}") from exc
-    return ((string(left, child_path(path, "left")), string(right, child_path(path, "right"))),
-            string(result, child_path(path, "result")))
+    left, right, result = (string(json_field(rec, key, path), child_path(path, key))
+                           for key in ("left", "right", "result"))
+    return (left, right), result
 
 
-def load_registry(doc, ctx: Optional[LocalFieldContext] = None) -> LabelRegistry:
+def load_registry(doc, ctx: LocalFieldContext) -> LabelRegistry:
     """Build a registry from its JSON document (a list of label records or
     an object with "labels" and optional "products").  A record that does
     not fit raises RegistryError naming its JSON path."""
@@ -530,8 +514,6 @@ def class_tensor_char(c: ClassData, chi: Atom, ctx: LocalFieldContext,
     if chi.degree != 1:
         raise ValueError("tensor character must have degree 1")
     if chi.label.is_unramified_char():
-        from .qexact import as_q_power
-
         w = as_q_power(chi.label.omega, ctx)
         if w is not None:
             # chi = |.|^(x - w): pure twist

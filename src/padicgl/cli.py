@@ -109,6 +109,7 @@ def _dump(result) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         # serialising inside the try: json.dumps itself can fail, e.g. on an
         # integer longer than Python's int-to-str digit limit
@@ -123,6 +124,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # never leak a stack trace
         text = _dump({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"})
         status = 1
+    finally:  # witt raises Python's int-to-str digit limit for its result only
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
     if args.output != "-":
         try:

@@ -8,7 +8,9 @@ load none of the Langlands modules.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import log10
 
 from .common import PayloadError, array, digits, field, fraction_to_json, integer, read_payload, string
 from .cyclicalg import (
@@ -21,6 +23,7 @@ from .cyclicalg import (
     v_power_matrix,
 )
 from .wittring import (
+    WITT_BITS_CAP,
     GFRing,
     IntegerRing,
     ModRing,
@@ -84,7 +87,14 @@ _WITT_BINARY = {
 }
 
 
+# Python converts integers of at most 4300 digits to decimal by default; a
+# witt coordinate over Z or Q may have WITT_BITS_CAP bits, this many digits
+_WITT_DIGITS = int(WITT_BITS_CAP * log10(2)) + 1
+
+
 def run_witt(args):
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _WITT_DIGITS:
+        sys.set_int_max_str_digits(_WITT_DIGITS)  # cli.main restores it
     payload = read_payload(args.input)
     ring = _witt_ring(args.ring, args.p)
     wctx = WittContext(ring, args.p, args.length)

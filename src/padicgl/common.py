@@ -1,5 +1,5 @@
-"""What both halves of padicgl share, importing neither: a primality test
-and the JSON payload readers.
+"""What both halves of padicgl share, importing neither: a primality test,
+the one square-and-multiply power, and the JSON payload readers.
 
 The Langlands half (``qexact`` ... ``jsonio``) and the p-adic half
 (``wittring``, ``cyclicalg``) meet only here, so a CLI subcommand imports
@@ -40,6 +40,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power(x, e: int, mul, one):
+    """x^e for e >= 0 by left-to-right square-and-multiply (Knuth, TAOCP
+    vol. 2, 4.6.3): bit_length(e) - 1 squarings and popcount(e) - 1 products
+    by x.  one is returned for e = 0 and is never a factor."""
+    if e < 0:
+        raise ValueError(f"power needs an exponent >= 0, got {e}")
+    out = x if e else one
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
 
 
 class PayloadError(ValueError):

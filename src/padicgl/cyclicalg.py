@@ -25,6 +25,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence, Tuple
 
+from .common import power
 from .wittring import Element, UnramWittCarrier
 
 Matrix = Tuple[Tuple[Element, ...], ...]
@@ -148,35 +149,23 @@ class CyclicAlgebra:
     def mul(self, x: CyclicAlgebraElement, y: CyclicAlgebraElement) -> CyclicAlgebraElement:
         if (x.r, x.s) != (self.r, self.s) or (y.r, y.s) != (self.r, self.s):
             raise ValueError("algebra parameters do not match")
-        carrier = self.ctx.carrier
-        out = [carrier.zero()] * self.s
-        p_to_r = self.ctx.p ** self.r
+        # (a_i Pi^i)(b_j Pi^j) = a_i sigma_K^i(b_j) Pi^(i+j), and Pi^s = p^r;
+        # zero coefficients are skipped, so powers of Pi stay cheap
+        carrier, s = self.ctx.carrier, self.s
+        terms = [[] for _ in range(s)]
         for i, a in enumerate(x.coeffs):
             if carrier.is_zero(a):
                 continue
+            wrapped = carrier.scalar_mul(self.ctx.p ** self.r, a)
             for j, b in enumerate(y.coeffs):
-                if carrier.is_zero(b):
-                    continue
-                term = carrier.mul(a, self.ctx.sigma(b, i))
-                k = i + j
-                if k >= self.s:
-                    k -= self.s
-                    term = carrier.scalar_mul(p_to_r, term)
-                out[k] = carrier.add(out[k], term)
-        return CyclicAlgebraElement(self.r, self.s, tuple(out))
+                if not carrier.is_zero(b):
+                    terms[(i + j) % s].append((a if i + j < s else wrapped, self.ctx.sigma(b, i)))
+        zero = carrier.zero()
+        return CyclicAlgebraElement(self.r, s, tuple(carrier.dot(t) if t else zero for t in terms))
 
     def power(self, x: CyclicAlgebraElement, e: int) -> CyclicAlgebraElement:
-        """x^e for e >= 0, by square-and-multiply."""
-        if e < 0:
-            raise ValueError(f"power needs an exponent >= 0, got {e}")
-        out = self.one()
-        while e:
-            if e & 1:
-                out = self.mul(out, x)
-            e >>= 1
-            if e:
-                x = self.mul(x, x)
-        return out
+        """x^e for e >= 0."""
+        return power(x, e, self.mul, self.one())
 
     def add(self, x: CyclicAlgebraElement, y: CyclicAlgebraElement) -> CyclicAlgebraElement:
         carrier = self.ctx.carrier
@@ -340,23 +329,18 @@ def dieudonne_standard(n: int, h: int, ctx: UnramifiedContext) -> DieudonneModul
 
 
 def v_power_matrix(mod: DieudonneModule, k: int) -> Matrix:
-    """Matrix of V^k (a sigma_K^(-k)-semilinear map), by square-and-multiply
-    on V^(a+b) = V^a sigma_K^(-a)(V^b)."""
-    ctx = mod.ctx
-    carrier = ctx.carrier
-    out = tuple(
+    """Matrix of V^k (a sigma_K^(-k)-semilinear map): the k-th power of the
+    pair (V, 1), where (A, a)(B, b) = (A sigma_K^(-a)(B), a + b) composes
+    V^a with V^b."""
+    ctx, carrier = mod.ctx, mod.ctx.carrier
+
+    def compose(x, y):
+        return _mat_mul(ctx, x[0], _entrywise_sigma(ctx, y[0], -x[1])), x[1] + y[1]
+
+    identity = tuple(
         tuple(carrier.one() if i == j else carrier.zero() for j in range(mod.n)) for i in range(mod.n)
     )
-    a, power, b = 0, mod.v_matrix, 1  # out = V^a, power = V^b
-    while k:
-        if k & 1:
-            out = _mat_mul(ctx, out, _entrywise_sigma(ctx, power, -a))
-            a += b
-        k >>= 1
-        if k:
-            power = _mat_mul(ctx, power, _entrywise_sigma(ctx, power, -b))
-            b *= 2
-    return out
+    return power((mod.v_matrix, 1), k, compose, (identity, 0))[0]
 
 
 def etale_inf_height(mod: DieudonneModule) -> Tuple[int, int]:

@@ -19,6 +19,7 @@ from .bzclass import (
     ClassData,
     FORM_Q,
     LabelRegistry,
+    RegistryError,
     Segment,
     central_character,
     class_tensor_char,
@@ -99,7 +100,7 @@ def verify_rec_axioms(c: ClassData, chi: Atom, ctx: LocalFieldContext,
         twist_ok = gl_side.key() == wd_side.key()
         if not twist_ok:
             twist_detail = "twist axiom mismatch"
-    except Exception as exc:  # registry gaps are reported, not raised
+    except RegistryError as exc:  # registry gaps are reported, not raised
         twist_ok = False
         twist_detail = str(exc)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .common import is_prime
+from .common import is_prime, power
 
 FractionLike = Union[int, Fraction, Tuple[int, int]]
 
@@ -84,14 +84,7 @@ class GaussianRational:
     def __pow__(self, n: int) -> "GaussianRational":
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussianRational.of(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, GaussianRational.__mul__, QI_ONE)
 
     def scale(self, r: Fraction) -> "GaussianRational":
         return GaussianRational(self.re * r, self.im * r)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .common import is_prime
+from .common import is_prime, power
 
 Element = Tuple[int, ...]
 
@@ -236,6 +236,7 @@ class UnramWittCarrier:
         self.residue = self if precision == 1 else GFRing(p, m, self.modulus_fp)
         # monic lift with digit coefficients; only the lower part is stored
         self.modulus_low = tuple(c % p for c in self.modulus_fp[:m])
+        self._one = (1 % self.pN,) + (0,) * (m - 1)  # built once: pow passes it on every call
         self._teichmuller: Dict[Element, Element] = {}
 
     # -- basic ring structure ------------------------------------------------
@@ -247,7 +248,7 @@ class UnramWittCarrier:
         return (0,) * self.m
 
     def one(self) -> Element:
-        return (1 % self.pN,) + (0,) * (self.m - 1)
+        return self._one
 
     def from_int(self, n: int) -> Element:
         return (n % self.pN,) + (0,) * (self.m - 1)
@@ -306,14 +307,7 @@ class UnramWittCarrier:
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:
             return self.pow(self.inv_unit(a), -e)
-        out = None
-        while e:
-            if e & 1:
-                out = a if out is None else self.mul(out, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return self.one() if out is None else out
+        return power(a, e, self.mul, self.one())
 
     def is_zero(self, a: Element) -> bool:
         return all(c == 0 for c in a)
@@ -462,14 +456,7 @@ class MPoly:
         return MPoly(self.nvars, terms)
 
     def pow(self, n: int) -> "MPoly":
-        out = MPoly.const(self.nvars, Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, MPoly.__mul__, MPoly.const(self.nvars, Fraction(1)))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import REGISTRY_DOC
 from padicgl import cli, cli_langlands
 from padicgl.cli import main
-from padicgl.wittring import GFRing, IntegerRing, WittContext, ghost
+from padicgl.wittring import WITT_BITS_CAP, GFRing, IntegerRing, RationalField, WittContext, ghost
 
 ST2 = '{"form":"Q","segments":[{"label":"1","x":[-1,2],"m":2}]}'
 SP3 = '{"blocks":[{"label":"1","x":[0,1],"m":3}]}'
@@ -127,6 +128,49 @@ def test_verify_subcommand(registry_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["all"] is True
+
+
+def test_verify_refuses_a_chi_that_is_not_a_character(registry_file, monkeypatch, capsys):
+    # only a registry gap is reported as a failed twist axiom
+    payload = json.dumps({"data": json.loads(ST2), "chi": {"label": "tau2"}})
+    argv = ["verify", "--p", "3", "--registry", str(registry_file)]
+    assert _main_in_process(argv, payload, monkeypatch, capsys) == (
+        1, {"error": "ValueError", "detail": "tensor character must have degree 1"})
+
+
+@contextlib.contextmanager
+def _int_digits(limit):
+    """Python's int-to-str digit limit raised to limit, and restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("ring,x", [
+    (IntegerRing(), list(range(1, 15))),
+    (RationalField(), ["1/3"] + list(range(2, 15))),
+])
+def test_witt_prints_results_past_the_default_digit_limit(ring, x):
+    # results below the Witt size cap with integers of 4,418 and 11,612 digits
+    spec = "Z" if isinstance(ring, IntegerRing) else "Q"
+    code, out = run_cli(["witt", "--ring", spec, "--p", "2", "--length", "14"],
+                        json.dumps({"op": "mul", "x": x, "y": x}), timeout=60)
+    ctx = WittContext(ring, 2, 14)
+    vector = ctx.vector([Fraction(c) for c in x] if spec == "Q" else x)
+    product = (vector * vector).coords
+    with _int_digits(WITT_BITS_CAP):
+        assert code == 0 and json.loads(out) == {"result": [str(c) if spec == "Q" else c for c in product]}
+        assert max(len(str(c)) for c in product) > 4300
+
+
+def test_main_restores_the_digit_limit_after_witt(monkeypatch, capsys):
+    before = sys.get_int_max_str_digits()
+    argv = ["witt", "--ring", "Z", "--p", "2", "--length", "2"]
+    assert _main_in_process(argv, '{"op":"add","x":[1,0],"y":[1,0]}', monkeypatch, capsys)[0] == 0
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_witt_subcommand():
@@ -354,8 +398,7 @@ def test_payload_errors_name_the_field(argv, payload, detail, monkeypatch, capsy
 def test_registry_product_missing_a_field(tmp_path, monkeypatch, capsys):
     registry = tmp_path / "registry.json"
     for registry_doc, detail in [
-        ({"labels": [], "products": [{"right": "xi", "result": "tau2xi"}]},
-         "product record missing field 'left'"),
+        ({"labels": [], "products": [{"right": "xi", "result": "tau2xi"}]}, "products[0].left: missing"),
         ({"labels": [5]}, "labels[0]: expected an object, got a number"),
         ({"labels": 5}, "labels: expected an array, got a number"),
         ({"labels": [{"name": "1", "kind": "unramified-char", "degree": [1]}]},
