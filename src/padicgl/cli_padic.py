@@ -12,7 +12,9 @@ import sys
 from fractions import Fraction
 from math import log10
 
-from .common import PayloadError, array, digits, field, fraction_to_json, integer, read_payload, string
+from .common import (
+    INT_DIGITS_LIMIT, PayloadError, array, digits, field, fraction_to_json, integer, read_payload, string,
+)
 from .cyclicalg import (
     CyclicAlgebra,
     UnramifiedContext,
@@ -87,9 +89,12 @@ _WITT_BINARY = {
 }
 
 
-# Python converts integers of at most 4300 digits to decimal by default; a
-# witt coordinate over Z or Q may have WITT_BITS_CAP bits, this many digits
-_WITT_DIGITS = int(WITT_BITS_CAP * log10(2)) + 1
+# Python converts integers of at most INT_DIGITS_LIMIT digits to decimal by
+# default.  A witt op over Z or Q forms powers of at most WITT_BITS_CAP bits,
+# but a product's coordinates pass that: they reached 2.6 times the cap
+# (p = 2, length 18, every coordinate of both factors at its bound).  This
+# limit covers three times the cap.
+_WITT_DIGITS = int(3 * WITT_BITS_CAP * log10(2)) + 1
 
 
 def run_witt(args):
@@ -118,9 +123,18 @@ def run_witt(args):
     return {"result": _witt_coords_out(out)}
 
 
+def _unramified_context(args, s: int) -> UnramifiedContext:
+    """The carrier of --precision N, refused before any work if p^N has more
+    digits than Python prints by default: coefficients print mod p^N."""
+    if args.p > 1 and args.precision * log10(args.p) >= INT_DIGITS_LIMIT:
+        raise ValueError(f"precision {args.precision}: p^N = {args.p}^{args.precision} passes the cap of "
+                         f"{INT_DIGITS_LIMIT} digits")
+    return UnramifiedContext(args.p, args.f, s, args.precision)
+
+
 def run_skewfield(args):
     payload = read_payload(args.input)
-    ctx = UnramifiedContext(args.p, args.f, args.s, args.precision)
+    ctx = _unramified_context(args, args.s)
     algebra = CyclicAlgebra(ctx, args.r)
     op = field(payload, "op", default=None)
 
@@ -144,7 +158,7 @@ def run_skewfield(args):
 
 
 def run_dieudonne(args):
-    ctx = UnramifiedContext(args.p, args.f, args.residue_degree, args.precision)
+    ctx = _unramified_context(args, args.residue_degree)
     mod = dieudonne_standard(args.rank, args.etale_height, ctx)
     etale, formal = etale_inf_height(mod)
     nf = args.rank - args.etale_height

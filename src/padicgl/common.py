@@ -1,5 +1,6 @@
 """What both halves of padicgl share, importing neither: a primality test,
-the one square-and-multiply power, and the JSON payload readers.
+the one square-and-multiply power, Python's default int-to-str limit, and
+the JSON payload readers.
 
 The Langlands half (``qexact`` ... ``jsonio``) and the p-adic half
 (``wittring``, ``cyclicalg``) meet only here, so a CLI subcommand imports
@@ -13,6 +14,10 @@ import sys
 from fractions import Fraction
 from typing import List, Tuple
 
+
+# Python converts an integer of at most this many digits to decimal by
+# default; the Langlands power cap and the --precision cap keep answers within it
+INT_DIGITS_LIMIT = 4300
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound (Sorenson
 # and Webster, Math. Comp. 86, 2017); at or above it is_prime refuses.

@@ -8,19 +8,36 @@ the representation is deliberately *not* canonical: 3 * q^0 and 1 * q^(1/2)
 denote the same number when q = 9.  Equality therefore always goes through
 the context-aware tests in this module, never through field-wise
 comparison of the raw data -- unless both sides were first rewritten by
-:func:`canonical_scalar`, the one place that fixes a canonical form.
+:func:`canonical_scalar`, the one place that fixes a canonical form.  Every
+equality test here, :func:`equals_one` and :func:`norm_is_one` included,
+compares canonical forms.
+
+A power of q or of a Gaussian rational that would pass POWER_BITS_CAP bits
+is refused before it is formed, so no input makes the arithmetic run away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import log2
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .common import is_prime, power
+from .common import INT_DIGITS_LIMIT, is_prime, power
 
-FractionLike = Union[int, Fraction, Tuple[int, int]]
+FractionLike = Union[int, Fraction]
+
+# The largest power formed, in bits: one that still prints in decimal under
+# Python's default int-to-str limit
+POWER_BITS_CAP = int(INT_DIGITS_LIMIT * log2(10))
+
+
+def _refuse_power(log2_base: float, e: int, base: str) -> None:
+    """Refuse base^e, base of log2_base bits, if it would pass
+    POWER_BITS_CAP bits."""
+    if abs(e) * log2_base > POWER_BITS_CAP:
+        raise ValueError(f"{base}^{e} would pass the cap of {POWER_BITS_CAP} bits on powers")
 
 
 def _fraction(value: FractionLike) -> Fraction:
@@ -28,14 +45,12 @@ def _fraction(value: FractionLike) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Fraction(value[0], value[1])
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def _half_integer(value: FractionLike, what: str = "exponent") -> Fraction:
     x = _fraction(value)
-    if (2 * x).denominator != 1:
+    if x.denominator > 2:  # a Fraction is in lowest terms
         raise ValueError(f"{what} must lie in (1/2)Z, got {x}")
     return x
 
@@ -82,6 +97,11 @@ class GaussianRational:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "GaussianRational":
+        if abs(n) > 1:  # the numerators grow as |c|^n, the denominators as theirs
+            nrm = self.norm_sq()
+            height = max(log2(max(nrm.numerator, nrm.denominator)) / 2,
+                         log2(max(self.re.denominator, self.im.denominator)))
+            _refuse_power(height, n, f"({height:.3g}-bit Gaussian rational)")
         if n < 0:
             return self.inverse() ** (-n)
         return power(self, n, GaussianRational.__mul__, QI_ONE)
@@ -125,6 +145,7 @@ class LocalFieldContext:
             raise ValueError("f must be a positive integer")
         if self.d < 0:
             raise ValueError("d must be non-negative")
+        _refuse_power(log2(self.p), self.f, f"q = {self.p}")
 
     @property
     def q(self) -> int:
@@ -139,6 +160,7 @@ class LocalFieldContext:
 
     def q_pow(self, k: int) -> Fraction:
         """q^k as an exact rational, k any integer."""
+        _refuse_power(self.f * log2(self.p), k, "q")
         if k >= 0:
             return Fraction(self.q ** k)
         return Fraction(1, self.q ** (-k))
@@ -163,7 +185,7 @@ class ExactScalar:
     def q_power(w: FractionLike) -> "ExactScalar":
         """The scalar q^w for a half-integer w."""
         w = _half_integer(w)
-        return ExactScalar(QI_ONE, int(2 * w))
+        return ExactScalar(QI_ONE, 2 * w.numerator // w.denominator)
 
     def is_zero(self) -> bool:
         return self.c.is_zero()
@@ -190,7 +212,7 @@ class ExactScalar:
     def shift(self, w: FractionLike) -> "ExactScalar":
         """Multiply by q^w, w half-integer."""
         w = _half_integer(w)
-        return ExactScalar(self.c, self.k + int(2 * w))
+        return ExactScalar(self.c, self.k + 2 * w.numerator // w.denominator)
 
 
 def canonical_scalar(x: ExactScalar, ctx: LocalFieldContext) -> ExactScalar:
@@ -215,13 +237,9 @@ def scalars_equal(x: ExactScalar, y: ExactScalar, ctx: LocalFieldContext) -> boo
 
 
 def equals_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
-    """True iff x denotes 1 for the concrete q.  Exact: requires c real,
-    positive, with c^2 = q^(-k)."""
-    if x.c.im != 0:
-        return False
-    if x.c.re <= 0:
-        return False
-    return x.c.re * x.c.re == ctx.q_pow(-x.k)
+    """True iff x denotes 1 for the concrete q.  A canonical form with k = 1
+    is never 1: q is then not a square, so q^(1/2) is irrational."""
+    return canonical_scalar(x, ctx) == ExactScalar.one()
 
 
 def _p_valuation(x: Fraction, p: int) -> Tuple[int, int, int]:
@@ -315,7 +333,10 @@ def norm_sq_compare(x: PosQMonomial, y: PosQMonomial, ctx: LocalFieldContext) ->
 
 
 def norm_is_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
-    return norm_sq_compare(norm_sq(x), PosQMonomial(Fraction(1), 0), ctx) == 0
+    """True iff |x|^2 is 1; x must be nonzero.  With x = c q^(r/2) in
+    canonical form, |x|^2 = N(c) q^r forms no power of q beyond x's own."""
+    n = norm_sq(canonical_scalar(x, ctx))
+    return equals_one(ExactScalar(GaussianRational(n.a), n.k), ctx)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,7 +16,14 @@ from padicgl.bzclass import (
     load_registry,
     unramified_atom,
 )
-from padicgl.qexact import ExactScalar, GaussianRational, LocalFieldContext
+from padicgl.qexact import (
+    ExactScalar,
+    GaussianRational,
+    LocalFieldContext,
+    PosQMonomial,
+    norm_sq,
+    norm_sq_compare,
+)
 from padicgl.wittring import _monic_polys, _poly_mod
 
 
@@ -158,6 +168,40 @@ def random_nonzero_scalar(rng: random.Random):
         g = random_gaussian(rng)
         if not g.is_zero():
             return ExactScalar(g, rng.randint(-4, 4))
+
+
+def names_reached(*start):
+    """(function, name) for every name mentioned by the start functions and by
+    every padicgl function they reach by name, in any padicgl module."""
+    todo, seen = list(start), set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        scope = vars(sys.modules[fn.__module__])
+        for node in ast.walk(ast.parse(inspect.getsource(fn))):
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            if ident is None:
+                continue
+            yield fn.__name__, ident
+            target = scope.get(ident) if isinstance(node, ast.Name) else None
+            if inspect.isfunction(target) and target.__module__.startswith("padicgl."):
+                todo.append(target)
+
+
+def equals_one_by_square(x, ctx):
+    """Reference for qexact.equals_one (its own formula before it compared
+    canonical forms): c real and positive with c^2 = q^(-k)."""
+    if x.c.im != 0 or x.c.re <= 0:
+        return False
+    return x.c.re * x.c.re == ctx.q_pow(-x.k)
+
+
+def norm_is_one_by_comparison(x, ctx):
+    """Reference for qexact.norm_is_one: |x|^2 compared with 1 as positive
+    q-monomials."""
+    return norm_sq_compare(norm_sq(x), PosQMonomial(Fraction(1), 0), ctx) == 0
 
 
 def trial_division_irreducible(poly, p):

@@ -166,6 +166,18 @@ def test_witt_prints_results_past_the_default_digit_limit(ring, x):
         assert max(len(str(c)) for c in product) > 4300
 
 
+def test_witt_prints_a_product_at_the_size_cap():
+    # both factors are within the cap; the product's top coordinate has twice its bits
+    x = [2 ** 65535 + 1, 2 ** 131071 + 3]
+    with _int_digits(3 * WITT_BITS_CAP):
+        payload = json.dumps({"op": "mul", "x": x, "y": x})
+        code, out = run_cli(["witt", "--ring", "Z", "--p", "2", "--length", "2"], payload, timeout=60)
+        ctx = WittContext(IntegerRing(), 2, 2)
+        product = (ctx.vector(x) * ctx.vector(x)).coords
+        assert code == 0 and json.loads(out) == {"result": list(product)}
+        assert product[1].bit_length() == 2 * WITT_BITS_CAP
+
+
 def test_main_restores_the_digit_limit_after_witt(monkeypatch, capsys):
     before = sys.get_int_max_str_digits()
     argv = ["witt", "--ring", "Z", "--p", "2", "--length", "2"]
@@ -540,6 +552,21 @@ def test_witt_golden_invocations():
         assert _stdout_in_process(row["argv"], row["payload"]) == (row["status"], row["stdout"]), row
 
 
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.jsonl"
+CLI_GOLDEN_REGISTRY = Path(__file__).parent / "data" / "cli_golden_registry.json"
+
+
+def test_cli_golden_invocations():
+    # argv, payload, stdout and exit status of every subcommand but witt:
+    # cli-spawn benchmark rounds, a skewfield/dieudonne grid, and exit 1 and
+    # exit 2 calls (tests/data/make_cli_golden.py wrote them)
+    rows = [json.loads(line) for line in CLI_GOLDEN.read_text().splitlines()]
+    assert len(rows) >= 700
+    for row in rows:
+        argv = [str(CLI_GOLDEN_REGISTRY) if a == "@registry" else a for a in row["argv"]]
+        assert _stdout_in_process(argv, row["payload"]) == (row["status"], row["stdout"]), row
+
+
 def test_registry_that_is_not_json(tmp_path, monkeypatch, capsys):
     registry = tmp_path / "registry.json"
     registry.write_text("not json")
@@ -563,3 +590,40 @@ def test_large_prime_p_answers_quickly():
     code, out = run_cli(["rec", "--p", "1000000000000000003"], ST2, timeout=10)
     assert code == 0 and json.loads(out)["blocks"][0]["m"] == 2
     assert time.perf_counter() - start < 2.0
+
+
+SP = '{{"blocks":[{{"label":"1","x":[0,1],"m":{}}}]}}'
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["lfactor", "--p", "3", "--f", "100000000"], SP.format(2)),
+    (["lfactor", "--p", "3"], '{"blocks":[{"label":"1","x":[200000001,2],"m":1}]}'),
+    (["eps", "--p", "3", "--npsi", "1"], SP.format(3000000)),
+    (["lfactor", "--p", "3"], SP.format(10 ** 8)),
+    (["skewfield", "--p", "2", "--r", "1", "--s", "1", "--precision", "15000"],
+     '{"op":"mul","x":[[-1]],"y":[[1]]}'),
+    (["skewfield", "--p", "2", "--f", "2", "--r", "1", "--s", "3", "--precision", "100000"],
+     '{"op":"invariant"}'),
+])
+def test_answers_past_the_printable_size_are_refused_quickly(argv, payload):
+    # each ran past 30 s, or printed Python's int-to-str message, before the caps
+    start = time.perf_counter()
+    code, out = run_cli(argv, payload, timeout=60)
+    doc = json.loads(out)
+    assert code == 1 and doc["error"] == "ValueError" and "the cap of" in doc["detail"], doc
+    assert time.perf_counter() - start < 2.0
+
+
+def test_caps_just_below_and_just_above(monkeypatch, capsys):
+    # Sp(m) has the L-coefficient q^(1-m): 3^9012 has 4300 digits, 3^9013 has 4301
+    code, doc = _main_in_process(["lfactor", "--p", "3"], SP.format(9013), monkeypatch, capsys)
+    assert code == 0 and doc["rendered"] == "(1 - q^-9012 T)^-1"
+    assert doc["factors"][0]["a"]["re"] == [1, 3 ** 9012]
+    code, doc = _main_in_process(["lfactor", "--p", "3"], SP.format(9014), monkeypatch, capsys)
+    assert (code, doc) == (1, {"error": "ValueError", "detail": "q^-9013 would pass the cap of 14284 bits on powers"})
+    # skewfield coefficients print mod 2^N: 2^14284 has 4300 digits, 2^14285 has 4301
+    argv = ["skewfield", "--p", "2", "--r", "1", "--s", "1", "--precision"]
+    code, doc = _main_in_process(argv + ["14284"], '{"op":"mul","x":[[-1]],"y":[[1]]}', monkeypatch, capsys)
+    assert code == 0 and doc == {"coeffs": [[2 ** 14284 - 1]]}
+    code, doc = _main_in_process(argv + ["14285"], '{"op":"mul","x":[[-1]],"y":[[1]]}', monkeypatch, capsys)
+    assert (code, doc) == (1, {"error": "ValueError", "detail": "precision 14285: p^N = 2^14285 passes the cap of 4300 digits"})

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_ctx, random_class_data, steinberg, trivial_atom
+from helpers import make_ctx, names_reached, random_class_data, steinberg, trivial_atom
 from padicgl.bzclass import Atom, ClassData, Segment, dualize, unramified_atom
 from padicgl.factors import (
     EpsValue,
@@ -353,3 +353,14 @@ def test_l_pole_injectivity_small(ctx, registry):
     assert same.pole_at(0, ctx)[0]
     shifted = pair_l_supercuspidal(dualize(tau), tau.twist(1), ctx)
     assert not shifted.pole_at(0, ctx)[0]
+
+
+@pytest.mark.parametrize("start, forbidden", [
+    ((gl_pair_l_inductive,), {"clebsch_gordan", "wd_pair_l", "WDRep", "WDBlock", "rec_forward"}),
+    ((wd_pair_l, wd_l_factor, wd_eps), {"Segment", "ClassData", "_segment_pair_l", "gl_pair_l_inductive"}),
+])
+def test_gl_and_wd_recursions_stay_independent(start, forbidden):
+    # the GL side and the Weil-Deligne side must agree as a theorem, not
+    # because one calls the other (module docstring of factors.py)
+    touched = [(fn, name) for fn, name in names_reached(*start) if name in forbidden]
+    assert not touched, touched

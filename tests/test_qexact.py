@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_nonzero_scalar
+from helpers import equals_one_by_square, norm_is_one_by_comparison, random_nonzero_scalar
 from padicgl.qexact import (
     ExactScalar,
+    GaussianRational,
     LFactor,
     LocalFieldContext,
     PosQMonomial,
     equals_one,
+    norm_is_one,
     norm_sq,
     norm_sq_compare,
     render_scalar,
@@ -135,3 +139,51 @@ def test_render_half_powers():
     # for square q the value 2 = q^(1/2) still renders as a q-power
     assert render_scalar(ExactScalar.of(1, 0, 1), ctx4) == "q^(1/2)"
     assert render_scalar(ExactScalar.of(2, 0, 0), ctx4) == "q^(1/2)"
+
+
+# q in {2, 3, 4, 9, 25, 27} as (p, f)
+Q_CONTEXTS = [LocalFieldContext(p, f) for p, f in ((2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3))]
+UNITS = [GaussianRational.of(1), GaussianRational.of(-1), GaussianRational.of(0, 1),
+         GaussianRational.of(1, 1), GaussianRational.of(Fraction(3, 5), Fraction(4, 5)),
+         GaussianRational.of(0)]
+
+
+@st.composite
+def scalar_in_context(draw):
+    """(x, ctx) with x = u p^e q^(k/2): u is 0, a unit, 1 + i or 3/5 + 4/5 i,
+    so that x is often exactly 1 or of norm 1."""
+    ctx = draw(st.sampled_from(Q_CONTEXTS))
+    u = draw(st.sampled_from(UNITS))
+    e = draw(st.integers(-9, 9))
+    return ExactScalar(u.scale(Fraction(ctx.p) ** e), draw(st.integers(-6, 6))), ctx
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scalar_in_context())
+def test_equality_through_canonical_forms_matches_the_formulas(case):
+    x, ctx = case
+    assert equals_one(x, ctx) == equals_one_by_square(x, ctx)
+    if x.is_zero():
+        with pytest.raises(ValueError):
+            norm_is_one(x, ctx)
+    else:
+        assert norm_is_one(x, ctx) == norm_is_one_by_comparison(x, ctx)
+
+
+def test_power_cap_refuses_before_forming_and_spares_units():
+    # 14284 bits is the most that prints in 4300 digits
+    assert LocalFieldContext(2, 14284).q == 2 ** 14284
+    with pytest.raises(ValueError, match="q = 2\\^14285 would pass the cap of 14284 bits"):
+        LocalFieldContext(2, 14285)
+    ctx = LocalFieldContext(3, 1)
+    assert ctx.q_pow(-9012) == Fraction(1, 3 ** 9012)
+    with pytest.raises(ValueError, match="q\\^-9013 would pass"):
+        ctx.q_pow(-9013)
+    # |1 + i|^2 = 2, so (1 + i)^n has about n/2 bits
+    assert GaussianRational.of(1, 1) ** 28568 == GaussianRational.of(2 ** 14284)
+    with pytest.raises(ValueError, match="would pass the cap"):
+        GaussianRational.of(1, 1) ** 28572
+    e = 10 ** 12 + 2
+    for unit, value in [((-1, 0), 1), ((0, 1), -1), ((0, -1), -1)]:
+        assert GaussianRational.of(*unit) ** e == GaussianRational.of(value)
+        assert (ExactScalar.of(*unit) ** -e).c == GaussianRational.of(value)

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import random
 from fractions import Fraction
 
@@ -7,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import padicgl.weildeligne
-from helpers import make_ctx, random_class_data, steinberg, trivial_atom
+from helpers import make_ctx, names_reached, random_class_data, steinberg, trivial_atom
 from padicgl.bzclass import Atom, unramified_atom
 from padicgl.langlands import rec_forward
 from padicgl.qexact import ExactScalar, LFactor, equals_one, lfactors_equal, scalars_equal
@@ -273,18 +270,7 @@ def test_matrix_oracle_matches_structural_factors(data, p, f, d, npsi):
 def test_matrix_oracle_never_reads_block_data():
     # the oracle must recompute L and eps from Phi and N alone: a shortcut
     # through the blocks would make its agreement with factors.py a tautology
-    tree = ast.parse(inspect.getsource(padicgl.weildeligne))
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached = list(names_reached(matrix_l, matrix_eps_det))
     forbidden = {"WDRep", "WDBlock", "blocks", "clebsch_gordan"}
-    todo, seen = ["matrix_l", "matrix_eps_det"], set()
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(funcs[name]):
-            ident = getattr(node, "id", None) or getattr(node, "attr", None)
-            assert ident not in forbidden, f"{name} touches {ident}"
-            if ident in funcs:
-                todo.append(ident)
-    assert "_eigenspace_kernels" in seen
+    assert not [(fn, name) for fn, name in reached if name in forbidden]
+    assert "_eigenspace_kernels" in {fn for fn, _ in reached}
