@@ -9,8 +9,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "qexact": (
-        "ExactScalar", "GaussianRational", "LFactor", "LocalFieldContext", "PosQMonomial",
-        "equals_one", "norm_sq", "norm_sq_compare", "render_lfactor", "render_scalar",
+        "ExactScalar", "GaussianRational", "LFactor", "LocalFieldContext", "equals_one",
+        "render_lfactor", "render_scalar",
     ),
     "bzclass": (
         "Atom", "ClassData", "InertialLabel", "LabelRegistry", "Segment", "dualize", "linked",

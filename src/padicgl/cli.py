@@ -85,13 +85,17 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Given a command, only that
+    subcommand gets its flags: argparse parses the words after a subcommand
+    with that subcommand's parser alone, so the others need none."""
     top = argparse.ArgumentParser(prog="padicgl")
     sub = top.add_subparsers(dest="command", required=True)
     for name, module, flags in _SUBCOMMANDS:
         sp = sub.add_parser(name)
-        for flag in flags:
-            sp.add_argument(flag, **_FLAGS[flag])
+        if command in (None, name):
+            for flag in flags:
+                sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(module=module)
     return top
 
@@ -108,7 +112,8 @@ def _dump(result) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         # serialising inside the try: json.dumps itself can fail, e.g. on an

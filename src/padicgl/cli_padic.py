@@ -132,11 +132,20 @@ def _unramified_context(args, s: int) -> UnramifiedContext:
     return UnramifiedContext(args.p, args.f, s, args.precision)
 
 
+# The reduced norm is a division-free determinant: about s^4 (f s)^2
+# coefficient products, against s (f s)^3 for the rest of skewfield.
+NORM_DEGREE_CAP = 24
+# dieudonne: rank n over W(F_{q^u}) is rank n f u over W(F_p).
+DIEUDONNE_RANK_CAP = 400
+
+
 def run_skewfield(args):
     payload = read_payload(args.input)
+    op = field(payload, "op", default=None)
+    if op == "norm" and args.f * args.s > NORM_DEGREE_CAP:
+        raise ValueError(f"norm at f s = {args.f * args.s} passes the cap of {NORM_DEGREE_CAP}")
     ctx = _unramified_context(args, args.s)
     algebra = CyclicAlgebra(ctx, args.r)
-    op = field(payload, "op", default=None)
 
     def element(key):
         return algebra.element(array(field(payload, key), key, digits))
@@ -158,6 +167,9 @@ def run_skewfield(args):
 
 
 def run_dieudonne(args):
+    if args.rank * args.f * args.residue_degree > DIEUDONNE_RANK_CAP:
+        raise ValueError(f"rank n f u = {args.rank * args.f * args.residue_degree} passes the cap of "
+                         f"{DIEUDONNE_RANK_CAP}")
     ctx = _unramified_context(args, args.residue_degree)
     mod = dieudonne_standard(args.rank, args.etale_height, ctx)
     etale, formal = etale_inf_height(mod)

@@ -30,6 +30,7 @@ from .qexact import (
     LFactor,
     LocalFieldContext,
     canonical_scalar_key,
+    scalars_equal,
 )
 from .weildeligne import WDBlock, WDRep, clebsch_gordan, wd_dual
 
@@ -312,7 +313,7 @@ def inductive_pair_eps_diagnostic(d1: Segment, d2: Segment,
         return report
     wd = wd_pair_eps(WDRep((WDBlock(sigma, r),)), WDRep((WDBlock(sigma2, rp),)), ctx)
     report["wd"] = wd
-    report["mono_agrees"] = canonical_scalar_key(relation_monomial.mono, ctx) == canonical_scalar_key(wd.mono, ctx)
+    report["mono_agrees"] = scalars_equal(relation_monomial.mono, wd.mono, ctx)
     report["slope_agrees"] = relation_monomial.s_slope == wd.s_slope
     report["agrees"] = bool(report["mono_agrees"] and report["slope_agrees"] and relation_monomial.units == wd.units)
     return report

@@ -28,7 +28,7 @@ from .bzclass import (
     unramified_atom,
 )
 from .factors import adjoint_no_pole_at_one
-from .qexact import ExactScalar, LocalFieldContext, canonical_scalar_key
+from .qexact import ExactScalar, LocalFieldContext, canonical_scalar_key, scalars_equal
 from .weildeligne import (
     WDBlock,
     WDRep,
@@ -108,8 +108,7 @@ def verify_rec_axioms(c: ClassData, chi: Atom, ctx: LocalFieldContext,
     det = wd_determinant_data(rho)
     det_ok = (
         omega.unit_classes == det.unit_classes
-        and canonical_scalar_key(omega.value_at_uniformizer, ctx)
-        == canonical_scalar_key(det.value_at_uniformizer, ctx)
+        and scalars_equal(omega.value_at_uniformizer, det.value_at_uniformizer, ctx)
     )
 
     dual_ok = rec_forward(c.dual()).key() == wd_dual(rho).key()

@@ -5,12 +5,13 @@ coefficients, epsilon monomials, eigenvalue norms -- lies in
 Q(i) * q^((1/2)Z) for a concrete prime power q = p^f.  Scalars are stored
 as a Gaussian rational c together with a half-integer exponent k/2, and
 the representation is deliberately *not* canonical: 3 * q^0 and 1 * q^(1/2)
-denote the same number when q = 9.  Equality therefore always goes through
-the context-aware tests in this module, never through field-wise
-comparison of the raw data -- unless both sides were first rewritten by
-:func:`canonical_scalar`, the one place that fixes a canonical form.  Every
-equality test here, :func:`equals_one` and :func:`norm_is_one` included,
-compares canonical forms.
+denote the same number when q = 9.  Equality therefore never compares the
+raw data field by field.  :func:`equals_one` decides every equality: x = c *
+q^(k/2) is 1 exactly when c is a positive rational p^v and k/2 + v/f = 0,
+which it reads from p-valuations (:func:`as_q_power`) without forming any
+power of q; :func:`norm_is_one` and :func:`scalars_equal` ask it of |x|^2
+and of x / y.  :func:`canonical_scalar` fixes the one printed form, and its
+key orders scalars; only values that must be sorted or printed go through it.
 
 A power of q or of a Gaussian rational that would pass POWER_BITS_CAP bits
 is refused before it is formed, so no input makes the arithmetic run away.
@@ -232,16 +233,6 @@ def canonical_scalar_key(x: ExactScalar, ctx: LocalFieldContext):
     return (y.c.re.numerator, y.c.re.denominator, y.c.im.numerator, y.c.im.denominator, y.k)
 
 
-def scalars_equal(x: ExactScalar, y: ExactScalar, ctx: LocalFieldContext) -> bool:
-    return canonical_scalar_key(x, ctx) == canonical_scalar_key(y, ctx)
-
-
-def equals_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
-    """True iff x denotes 1 for the concrete q.  A canonical form with k = 1
-    is never 1: q is then not a square, so q^(1/2) is irrational."""
-    return canonical_scalar(x, ctx) == ExactScalar.one()
-
-
 def _p_valuation(x: Fraction, p: int) -> Tuple[int, int, int]:
     """(v, a, b) with x = p^v * a / b and p dividing neither a nor b; x != 0."""
     a, b = x.numerator, x.denominator
@@ -290,53 +281,24 @@ def render_scalar(x: ExactScalar, ctx: LocalFieldContext) -> str:
     return str(y.c) if y.k == 0 else f"{y.c} * q^(1/2)"
 
 
-@dataclass(frozen=True)
-class PosQMonomial:
-    """a * q^(k/2) with a > 0 rational; the value |.|^2 of a scalar lives here."""
-
-    a: Fraction
-    k: int = 0
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("PosQMonomial requires a > 0")
-
-    def __mul__(self, other: "PosQMonomial") -> "PosQMonomial":
-        return PosQMonomial(self.a * other.a, self.k + other.k)
-
-
-def norm_sq(x: ExactScalar) -> PosQMonomial:
-    """|x|^2 as a positive monomial; x must be nonzero."""
-    n = x.c.norm_sq()
-    if n == 0:
-        raise ValueError("norm of zero scalar")
-    return PosQMonomial(n, 2 * x.k)
-
-
-def norm_sq_compare(x: PosQMonomial, y: PosQMonomial, ctx: LocalFieldContext) -> int:
-    """Exact three-way comparison of positive monomials: -1, 0 or +1.
-
-    Comparing a1*q^(k1/2) with a2*q^(k2/2) is done after squaring, which
-    clears the half-exponents without ever leaving the rationals.
-    """
-    left = x.a * x.a
-    right = y.a * y.a
-    if x.k >= y.k:
-        left *= ctx.q_pow(x.k - y.k)
-    else:
-        right *= ctx.q_pow(y.k - x.k)
-    if left < right:
-        return -1
-    if left > right:
-        return 1
-    return 0
+def equals_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
+    """True iff x denotes 1 for the concrete q: x = q^0 (:func:`as_q_power`)."""
+    return as_q_power(x, ctx) == 0
 
 
 def norm_is_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
-    """True iff |x|^2 is 1; x must be nonzero.  With x = c q^(r/2) in
-    canonical form, |x|^2 = N(c) q^r forms no power of q beyond x's own."""
-    n = norm_sq(canonical_scalar(x, ctx))
-    return equals_one(ExactScalar(GaussianRational(n.a), n.k), ctx)
+    """True iff |x|^2 = N(c) q^k is 1; x must be nonzero."""
+    if x.is_zero():
+        raise ValueError("norm of zero scalar")
+    return equals_one(ExactScalar(GaussianRational(x.c.norm_sq()), 2 * x.k), ctx)
+
+
+def scalars_equal(x: ExactScalar, y: ExactScalar, ctx: LocalFieldContext) -> bool:
+    """True iff x and y denote the same number; a zero scalar equals exactly
+    the zero scalars, whatever its exponent."""
+    if x.is_zero() or y.is_zero():
+        return x.is_zero() and y.is_zero()
+    return equals_one(x / y, ctx)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ the one solve of w_m(x) = c_m: the lift route divides by p^m exactly,
 :func:`ghost_inverse` multiplies by p^-m in R (p must be a unit there), and
 ``from_int(k)`` solves for the ghost components (k, ..., k), except over
 F_{p^r}, where it reads k through the bridge.  Over Z and Q an operation is
-refused before it forms an integer beyond :data:`WITT_BITS_CAP`.
+refused before it forms an integer beyond :data:`WITT_BITS_CAP`, and every
+W_n whose numbers would pass :data:`WITT_MODULUS_BITS_CAP` is refused
+before any work.
 :func:`universal_polynomials` runs the same solve symbolically over Q; no
 runtime path evaluates them (their size grows exponentially with n), and
 the tests use them as the reference the routes are checked against.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, log2
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import is_prime, power
@@ -212,6 +214,13 @@ def find_irreducible(p: int, r: int) -> Tuple[int, ...]:
     raise RuntimeError("unreachable: irreducible polynomial exists")
 
 
+#: The largest extension degree m of a carrier: one product costs m^2
+#: coefficient products and a Teichmuller lift or a Frobenius matrix m^3
+#: and more.  The search for the modulus is not bounded by it: it grows
+#: with p as well, and some (p, m) with m <= 40 take seconds.
+CARRIER_DEGREE_CAP = 40
+
+
 class UnramWittCarrier:
     """(Z/p^N)[x]/(F): exact arithmetic in W_N(F_{p^m}).  F is a monic lift
     with digit coefficients of the irreducible ``modulus_fp`` over F_p; at
@@ -223,6 +232,8 @@ class UnramWittCarrier:
             raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
+        if m > CARRIER_DEGREE_CAP:
+            raise ValueError(f"extension degree {m} passes the cap of {CARRIER_DEGREE_CAP}")
         if precision < 1:
             raise ValueError("precision must be >= 1")
         self.p = p
@@ -545,6 +556,11 @@ def universal_polynomials(p: int, n: int) -> Dict[str, List[MPoly]]:
 #: Bits of the largest integer a Witt operation over Z or Q may form (y^(p^e)
 #: has at most p^e bitlen(y)); the slowest op at the cap took 0.4 s on a 2-core Xeon.
 WITT_BITS_CAP = 1 << 17
+#: Bits of the numbers the ring laws of W_n work with: the lift modulus
+#: m p^(n-1) over Z/m (m = 1 over Z and Q), and p^(nr), the size of one
+#: element of the carrier, over F_{p^r}.  At the cap W_1022(Z/8) at p = 2
+#: takes about 3 s per product.
+WITT_MODULUS_BITS_CAP = 1 << 10
 
 
 def _check_size(ring, p: int, top: int, values: Sequence) -> None:
@@ -557,14 +573,23 @@ def _check_size(ring, p: int, top: int, values: Sequence) -> None:
                              f"p^{top - i} passes the cap of {WITT_BITS_CAP} bits")
 
 
+def _refuse_length(n: int, p: int, size: str, bits: float) -> None:
+    if bits > WITT_MODULUS_BITS_CAP:
+        raise ValueError(f"W_{n} at p = {p}: {size} has about {bits:.0f} bits, "
+                         f"past the cap of {WITT_MODULUS_BITS_CAP}")
+
+
 def _solve(ring, p: int, components: Sequence, divide) -> List:
     """The x with w_m(x) = components[m], m = 0, 1, ...: x_m is
     divide(components[m] - sum_{i<m} p^i x_i^(p^(m-i)), m), i.e. / p^m."""
     out: List = []
+    powers: List = []  # x_i^(p^(m-i)), i < m, each the p-th power of the last step's
     for m, acc in enumerate(components):
-        for i in range(m):
-            acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), ring.pow(out[i], p ** (m - i))))
+        for i, x in enumerate(powers):
+            powers[i] = x = ring.pow(x, p)
+            acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), x))
         out.append(divide(acc, m))
+        powers.append(out[m])
     return out
 
 
@@ -579,16 +604,20 @@ class WittContext:
             raise ValueError(f"{self.p} is not prime")
         if self.n < 1:
             raise ValueError("truncation length must be >= 1")
-        # the route of the ring laws (module docstring)
-        ring, lift, bridge = self.ring, None, None
+        # the route of the ring laws (module docstring), refused past its
+        # size cap before any work
+        ring, p, n, lift, bridge = self.ring, self.p, self.n, None, None
         if isinstance(ring, _NumberRing):
+            _refuse_length(n, p, "p^(n-1)", (n - 1) * log2(p))
             lift = IntegerRing()
         elif isinstance(ring, ModRing):
-            lift = ModRing(ring.m * self.p ** (self.n - 1))
-        elif isinstance(ring, UnramWittCarrier) and ring.characteristic() == self.p:
-            bridge = UnramWittCarrier(self.p, ring.m, self.n, ring.modulus_fp)
+            _refuse_length(n, p, "the lift modulus m p^(n-1)", log2(ring.m) + (n - 1) * log2(p))
+            lift = ModRing(ring.m * p ** (n - 1))
+        elif isinstance(ring, UnramWittCarrier) and ring.characteristic() == p:
+            _refuse_length(n, p, "p^(nr)", n * ring.m * log2(p))
+            bridge = UnramWittCarrier(p, ring.m, n, ring.modulus_fp)
         else:
-            raise ValueError(f"no Witt vector arithmetic over {getattr(ring, 'name', ring)} at p = {self.p}")
+            raise ValueError(f"no Witt vector arithmetic over {getattr(ring, 'name', ring)} at p = {p}")
         object.__setattr__(self, "_lift", lift)
         object.__setattr__(self, "_bridge", bridge)
 

@@ -16,14 +16,7 @@ from padicgl.bzclass import (
     load_registry,
     unramified_atom,
 )
-from padicgl.qexact import (
-    ExactScalar,
-    GaussianRational,
-    LocalFieldContext,
-    PosQMonomial,
-    norm_sq,
-    norm_sq_compare,
-)
+from padicgl.qexact import ExactScalar, GaussianRational, LocalFieldContext, canonical_scalar_key
 from padicgl.wittring import _monic_polys, _poly_mod
 
 
@@ -199,9 +192,17 @@ def equals_one_by_square(x, ctx):
 
 
 def norm_is_one_by_comparison(x, ctx):
-    """Reference for qexact.norm_is_one: |x|^2 compared with 1 as positive
-    q-monomials."""
-    return norm_sq_compare(norm_sq(x), PosQMonomial(Fraction(1), 0), ctx) == 0
+    """Reference for qexact.norm_is_one (the formula of the comparison of
+    positive q-monomials it used before): |x|^2 = N(c) q^k is 1 iff
+    N(c)^2 = q^(-2k), both sides squared to clear the half exponent."""
+    n = x.c.norm_sq()
+    return n * n == ctx.q_pow(-2 * x.k)
+
+
+def scalars_equal_by_key(x, y, ctx):
+    """Reference for qexact.scalars_equal on nonzero scalars (its formula
+    before it divided): equal canonical keys."""
+    return canonical_scalar_key(x, ctx) == canonical_scalar_key(y, ctx)
 
 
 def trial_division_irreducible(poly, p):

@@ -347,6 +347,33 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         assert exc.value.code == 2
 
 
+# usage errors, help, and calls whose first word is not a subcommand
+PARSE_ARGV = [
+    [], ["-h"], ["--help"], ["rec", "-h"], ["witt", "--help"], ["dieudonne", "-h"], ["rec", "--bogus"],
+    ["foo"], ["--p", "3", "rec"], ["rec", "--ring", "Q"], ["witt", "--ring", "Zmod:abc"],
+    ["skewfield", "--p", "2"], ["conductor", "--mode", "x"], ["--", "rec", "--p", "3"], ["rec", "--p"],
+    ["rec", "--pr", "3"],
+]
+
+
+def _parse_outcome(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ST2))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+def test_the_chosen_subcommands_parser_answers_as_the_full_parser(argv, monkeypatch, capsys):
+    chosen = _parse_outcome(argv, monkeypatch, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full(None))
+    assert _parse_outcome(argv, monkeypatch, capsys) == chosen
+
+
 def _main_in_process(argv, payload, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     code = main(argv)
@@ -627,3 +654,55 @@ def test_caps_just_below_and_just_above(monkeypatch, capsys):
     assert code == 0 and doc == {"coeffs": [[2 ** 14284 - 1]]}
     code, doc = _main_in_process(argv + ["14285"], '{"op":"mul","x":[[-1]],"y":[[1]]}', monkeypatch, capsys)
     assert (code, doc) == (1, {"error": "ValueError", "detail": "precision 14285: p^N = 2^14285 passes the cap of 4300 digits"})
+
+
+@pytest.mark.parametrize("argv,payload,answer", [
+    (["classify-predicates", "--p", "2"],
+     '{"form":"Q","segments":[{"label":"s2","x":[14284,2],"m":2},{"label":"1","x":[1,2],"m":1}]}',
+     {"essentially_square_integrable": False, "generic": True, "iwahori_spherical": False,
+      "square_integrable": False, "supercuspidal": False, "tempered": False, "unramified": False}),
+    (["verify", "--p", "2"],
+     '{"data":{"form":"Q","segments":[{"label":"1","x":[7142,1],"m":2}]},"chi":{"label":"1","x":[1,1]}}',
+     {"all": True, "central_character": True, "dual": True, "twist": True, "twist_detail": ""}),
+])
+def test_equality_on_twists_at_half_the_power_cap(argv, payload, answer, monkeypatch, capsys):
+    # q^7142 is half the cap: a comparison that squared it refused these calls
+    argv = argv + ["--registry", str(CLI_GOLDEN_REGISTRY)]
+    assert _main_in_process(argv, payload, monkeypatch, capsys) == (0, answer)
+
+
+ZMOD_2_1000 = f"Zmod:{2 ** 1000}"
+
+
+@pytest.mark.parametrize("argv,payload,answer", [
+    # witt: m p^(n-1) and p^(nr) have at most 1024 bits
+    (["witt", "--ring", ZMOD_2_1000, "--p", "2", "--length", "25"], '{"op":"neg","x":[0]}', None),
+    (["witt", "--ring", ZMOD_2_1000, "--p", "2", "--length", "26"], '{"op":"neg","x":[0]}',
+     "W_26 at p = 2: the lift modulus m p^(n-1) has about 1025 bits, past the cap of 1024"),
+    (["witt", "--ring", "Fq:40", "--p", "2", "--length", "25"], '{"op":"verschiebung","x":[0]}', None),
+    (["witt", "--ring", "Fq:40", "--p", "2", "--length", "26"], '{"op":"verschiebung","x":[0]}',
+     "W_26 at p = 2: p^(nr) has about 1040 bits, past the cap of 1024"),
+    (["witt", "--ring", "Fq:41", "--p", "2", "--length", "1"], '{"op":"neg","x":[0]}',
+     "extension degree 41 passes the cap of 40"),
+    # skewfield: the carrier degree f s is at most 40, and at most 24 for norm
+    (["skewfield", "--p", "2", "--f", "20", "--r", "1", "--s", "2"], '{"op":"invariant"}', None),
+    (["skewfield", "--p", "2", "--f", "41", "--r", "1", "--s", "1"], '{"op":"invariant"}',
+     "extension degree 41 passes the cap of 40"),
+    (["skewfield", "--p", "2", "--f", "24", "--r", "1", "--s", "1"], '{"op":"norm","x":[[1]]}', None),
+    (["skewfield", "--p", "2", "--f", "25", "--r", "1", "--s", "1"], '{"op":"norm","x":[[1]]}',
+     "norm at f s = 25 passes the cap of 24"),
+    # dieudonne: rank n f u over W(F_p) is at most 400
+    (["dieudonne", "--p", "2", "--f", "40", "--rank", "10", "--etale-height", "5"], "", None),
+    (["dieudonne", "--p", "2", "--rank", "401", "--etale-height", "200"], "",
+     "rank n f u = 401 passes the cap of 400"),
+])
+def test_size_caps_just_below_and_just_above(argv, payload, answer, monkeypatch, capsys):
+    if "--length" in argv:  # the witt vectors of the payload, zero-extended to the length
+        doc = json.loads(payload)
+        doc["x"] = doc["x"] * int(argv[-1])
+        payload = json.dumps(doc)
+    code, doc = _main_in_process(argv, payload, monkeypatch, capsys)
+    if answer is None:
+        assert code == 0 and "error" not in doc, doc
+    else:
+        assert (code, doc) == (1, {"error": "ValueError", "detail": answer})

@@ -13,6 +13,7 @@ from padicgl.wittring import (
     ModRing,
     RationalField,
     WITT_BITS_CAP,
+    WITT_MODULUS_BITS_CAP,
     UnramWittCarrier,
     WittContext,
     find_irreducible,
@@ -340,6 +341,27 @@ def test_size_cap_counts_the_scaling_over_q():
     assert (ctx.vector([0, 0, 5]) + ctx.vector([0, 0, 7])).coords == (0, 0, 12)
     with pytest.raises(ValueError, match="passes the cap"):
         ctx.vector([0, 0, Fraction(1, 3)]) + ctx.one()
+
+
+@pytest.mark.parametrize("ring,p,n", [
+    (ZZ, 2, 1025), (QQ, 3, 647), (ModRing(2 ** 1000), 2, 25), (ModRing(5), 2, 1022),
+    (GFRing(2, 40), 2, 25), (GFRing(3, 2), 3, 323),
+])
+def test_modulus_cap_on_the_length(ring, p, n):
+    # m p^(n-1) (m = 1 over Z and Q) or p^(nr) has at most 1024 bits at n,
+    # and more at n + 1; the cap refuses before any work
+    assert WITT_MODULUS_BITS_CAP == 1024
+    ctx = WittContext(ring, p, n)
+    assert verschiebung(ctx.one()).coords == (ring.zero(), ring.one()) + (ring.zero(),) * (n - 2)
+    with pytest.raises(ValueError, match=f"W_{n + 1} at p = {p}: .* past the cap of 1024"):
+        WittContext(ring, p, n + 1)
+
+
+def test_carrier_degree_cap():
+    assert GFRing(2, 40).m == 40
+    for make in (lambda: GFRing(2, 41), lambda: UnramWittCarrier(3, 41, 2)):
+        with pytest.raises(ValueError, match="extension degree 41 passes the cap of 40"):
+            make()
 
 
 def test_frobenius_char_p_is_pth_powers():
