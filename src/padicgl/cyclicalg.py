@@ -117,6 +117,8 @@ class CyclicAlgebraElement:
 
 class CyclicAlgebra:
     def __init__(self, ctx: UnramifiedContext, r: int):
+        if r < 0:
+            raise ValueError(f"r = {r} must be >= 0: Pi^s = p^r must lie in the carrier")
         if gcd(r, ctx.s) != 1:
             raise ValueError(f"parameters (r, s) = ({r}, {ctx.s}) must be coprime")
         self.ctx = ctx

@@ -134,24 +134,17 @@ def wd_l_factor(rho: WDRep, ctx: LocalFieldContext) -> LFactor:
     """det(1 - q^(-s) Phi | V^{I_K}_N)^(-1): only unramified-character
     blocks have inertia invariants, and each contributes one factor with
     coefficient alpha * q^(1-m)."""
-    out = LFactor.one()
-    for b in rho.blocks:
-        if b.atom.label.is_unramified_char():
-            a = b.atom.value_at_uniformizer().shift(-(b.m - 1))
-            out = out * LFactor.of([(a, 1)])
-    return out
+    return LFactor.of((b.atom.value_at_uniformizer().shift(-(b.m - 1)), 1)
+                      for b in rho.blocks if b.atom.label.is_unramified_char())
 
 
 def wd_pair_l(rho1: WDRep, rho2: WDRep, ctx: LocalFieldContext) -> LFactor:
     """L of the tensor product, through the Clebsch-Gordan expansion of
     Sp(m1) tensor Sp(m2)."""
-    out = LFactor.one()
-    for b1 in rho1.blocks:
-        for b2 in rho2.blocks:
-            base = pair_l_supercuspidal(b1.atom, b2.atom, ctx)
-            for j, mm in clebsch_gordan(b1.m, b2.m):
-                out = out * base.shift(j + mm - 1)
-    return out
+    bases = ((pair_l_supercuspidal(b1.atom, b2.atom, ctx), b1.m, b2.m)
+             for b1 in rho1.blocks for b2 in rho2.blocks)
+    return LFactor.of(f for base, m1, m2 in bases for j, mm in clebsch_gordan(m1, m2)
+                      for f in base.shift(j + mm - 1).factors)
 
 
 def _segment_pair_l(d1: Segment, d2: Segment, ctx: LocalFieldContext) -> LFactor:
@@ -159,14 +152,11 @@ def _segment_pair_l(d1: Segment, d2: Segment, ctx: LocalFieldContext) -> LFactor
     if r > rp:
         d1, d2 = d2, d1
         r, rp = rp, r
-    out = LFactor.one()
     base = pair_l_supercuspidal(d1.start, d2.start, ctx)
-    for i in range(1, r + 1):
-        # an i-independent shift would evaluate the base case r = r' = 1 at
-        # s+1 instead of s; the -i term is forced by that case and by
-        # agreement with the tensor-side expansion
-        out = out * base.shift(r + rp - 1 - i)
-    return out
+    # an i-independent shift would evaluate the base case r = r' = 1 at s+1
+    # instead of s; the -i term is forced by that case and by agreement with
+    # the tensor-side expansion
+    return LFactor.of(f for i in range(1, r + 1) for f in base.shift(r + rp - 1 - i).factors)
 
 
 def gl_pair_l_inductive(c1: ClassData, c2: ClassData, ctx: LocalFieldContext) -> LFactor:
@@ -174,11 +164,8 @@ def gl_pair_l_inductive(c1: ClassData, c2: ClassData, ctx: LocalFieldContext) ->
     symmetry, additivity over segments, and the segment-pair base case."""
     c1.require_q_form("gl_pair_l_inductive")
     c2.require_q_form("gl_pair_l_inductive")
-    out = LFactor.one()
-    for d1 in c1.segments:
-        for d2 in c2.segments:
-            out = out * _segment_pair_l(d1, d2, ctx)
-    return out
+    return LFactor.of(f for d1 in c1.segments for d2 in c2.segments
+                      for f in _segment_pair_l(d1, d2, ctx).factors)
 
 
 def _block_eps(b: WDBlock, ctx: LocalFieldContext) -> EpsValue:

@@ -397,7 +397,7 @@ def test_padic_subcommands_build_no_langlands_context(monkeypatch, capsys):
 
 
 def test_large_modulus_and_dieudonne_rank_answer_quickly():
-    # Rabin's irreducibility test for the degree-40 modulus, and V^n by
+    # Ben-Or's irreducibility test for the degree-40 modulus, and V^n by
     # square-and-multiply at rank 200
     start = time.perf_counter()
     code, out = run_cli(["skewfield", "--p", "2", "--r", "1", "--s", "40", "--precision", "4"],
@@ -411,6 +411,33 @@ def test_large_modulus_and_dieudonne_rank_answer_quickly():
     assert code == 0 and (doc["etale"], doc["formal"]) == (100, 100)
     assert doc["v_power_is_pi_on_formal"] is True
     assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("argv,payload,key,answer", [
+    (["witt", "--ring", "Fq:5", "--p", "1000000000000000003", "--length", "1"],
+     '{"op":"add","x":[[1,2,3,4,5]],"y":[[1,0,0,0,1]]}', "result", [[2, 2, 3, 4, 6]]),
+    (["skewfield", "--p", "1000000000000000003", "--r", "1", "--s", "5", "--precision", "2"],
+     '{"op":"invariant"}', "invariant", [1, 5]),
+])
+def test_modulus_search_at_a_large_prime_answers_quickly(argv, payload, key, answer):
+    # no binomial x^5 + c is irreducible mod p, as 5 does not divide p - 1:
+    # a search through all p of them never answered
+    start = time.perf_counter()
+    code, out = run_cli(argv, payload, timeout=60)
+    assert code == 0 and json.loads(out)[key] == answer
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["skewfield", "--p", "2", "--r", "-1", "--s", "2"], '{"op":"mul","x":[[1],[1]],"y":[[1],[1]]}'),
+    (["skewfield", "--p", "2", "--r", "-3", "--s", "2"], '{"op":"norm","x":[[1],[1]]}'),
+    (["skewfield", "--p", "2", "--r", "-1", "--s", "3"], '{"op":"invariant"}'),
+])
+def test_skewfield_refuses_negative_r(argv, payload, monkeypatch, capsys):
+    # Pi^s = p^r with r < 0 is no element of the carrier: these printed floats
+    r = argv[argv.index("--r") + 1]
+    detail = f"r = {r} must be >= 0: Pi^s = p^r must lie in the carrier"
+    assert _main_in_process(argv, payload, monkeypatch, capsys) == (1, {"error": "ValueError", "detail": detail})
 
 
 @pytest.mark.parametrize("argv,payload,detail", [

@@ -443,12 +443,41 @@ def test_find_irreducible_deterministic():
     assert find_irreducible(2, 1) == (0, 1)
     # the first lexicographic irreducible cubic over F_2 is x^3 + x + 1
     assert find_irreducible(2, 3) == (1, 1, 0, 1)
-    first = next(f for f in wittring._monic_polys(2, 20) if f[0] and trial_division_irreducible(f, 2))
-    assert find_irreducible(2, 20) == tuple(first)
+    # a binomial x^r + c is irreducible although r does not divide p - 1
+    assert find_irreducible(5, 8) == (2,) + (0,) * 7 + (1,)
+    assert find_irreducible(7, 9) == (2,) + (0,) * 8 + (1,)
+    # Serret: no binomial is irreducible when 4 | r and p = 3 mod 4, or when
+    # a prime factor of r (31 here) does not divide p - 1; the search starts
+    # past them
+    assert find_irreducible(3, 4) == (2, 1, 0, 0, 1)
+    assert find_irreducible(1000003, 16) == (13, 1) + (0,) * 14 + (1,)
+    assert find_irreducible(1000003, 31) == (7, 1) + (0,) * 29 + (1,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_find_irreducible_is_first_by_trial_division(p):
+    for r in range(2, 21):
+        if p ** (r // 2) > 10 ** 4:
+            break
+        first = next(f for f in wittring._monic_polys(p, r) if f[0] and trial_division_irreducible(f, p))
+        assert find_irreducible(p, r) == tuple(first), r
+
+
+def test_find_irreducible_tests_binomials_only_when_serret_allows_one(monkeypatch):
+    tested = []
+    is_irreducible = wittring._is_irreducible
+    monkeypatch.setattr(wittring, "_is_irreducible", lambda f, p: tested.append(f) or is_irreducible(f, p))
+    for p in [2, 3, 5, 7, 11, 13, 1000003]:
+        for r in range(2, 13):
+            tested.clear()
+            find_irreducible(p, r)
+            primes = [l for l in range(2, r + 1) if r % l == 0 and all(l % k for k in range(2, l))]
+            allowed = all((p - 1) % l == 0 for l in primes) and (r % 4 != 0 or p % 4 == 1)
+            assert any(not any(f[1:r]) for f in tested) == allowed, (p, r)
 
 
 @pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 4)])
-def test_rabin_irreducibility_matches_trial_division(p, max_degree):
+def test_ben_or_irreducibility_matches_trial_division(p, max_degree):
     for degree in range(1, max_degree + 1):
         for poly in wittring._monic_polys(p, degree):
             assert wittring._is_irreducible(poly, p) == trial_division_irreducible(poly, p), poly
