@@ -168,7 +168,8 @@ def unramified_atom(value: ExactScalar, ctx: LocalFieldContext) -> Atom:
     """
     if value.is_zero():
         raise RegistryError("unramified character value must be nonzero")
-    e = _p_valuation(value.c.norm_sq(), ctx.p)[0] + value.k * ctx.f
+    n = value.c.norm_sq()
+    e = _p_valuation(n.numerator, n.denominator, ctx.p)[0] + value.k * ctx.f
     # pick 2x so that the base value's norm-square valuation lands in [0, f)
     shift2 = (e % ctx.f) - e
     x = Fraction(shift2, 2 * ctx.f)

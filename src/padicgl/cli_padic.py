@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import log10
+from math import log2, log10
 
 from .common import (
     INT_DIGITS_LIMIT, PayloadError, array, digits, field, fraction_to_json, integer, read_payload, string,
@@ -123,12 +123,29 @@ def run_witt(args):
     return {"result": _witt_coords_out(out)}
 
 
+# A carrier element is m coefficients of log2(p^N) bits, for m = f s (f u
+# for dieudonne); lifting Frobenius and building sigma_K take about s m
+# carrier products of m^2 coefficient products each.  So the bits of p^N
+# and the degree are capped together: at the cap, the slowest skewfield op
+# measured (mul at s = 40, p = 7, N = 178) took 3.5 s spawned on a 2-core
+# x86-64 box (Python 3.11.7).
+CARRIER_BITS_CAP = 20000
+
+
 def _unramified_context(args, s: int) -> UnramifiedContext:
-    """The carrier of --precision N, refused before any work if p^N has more
-    digits than Python prints by default: coefficients print mod p^N."""
-    if args.p > 1 and args.precision * log10(args.p) >= INT_DIGITS_LIMIT:
-        raise ValueError(f"precision {args.precision}: p^N = {args.p}^{args.precision} passes the cap of "
-                         f"{INT_DIGITS_LIMIT} digits")
+    """The carrier of --precision N and degree m = f s, refused before any
+    work if p^N has more digits than Python prints by default
+    (coefficients print mod p^N) or if m log2(p^N) passes
+    CARRIER_BITS_CAP."""
+    if args.p > 1:
+        if args.precision * log10(args.p) >= INT_DIGITS_LIMIT:
+            raise ValueError(f"precision {args.precision}: p^N = {args.p}^{args.precision} passes the cap of "
+                             f"{INT_DIGITS_LIMIT} digits")
+        degree = args.f * s
+        size = degree * args.precision * log2(args.p)
+        if size > CARRIER_BITS_CAP:
+            raise ValueError(f"precision {args.precision} at carrier degree {degree}: degree * log2(p^N) = "
+                             f"{size:.0f} passes the cap of {CARRIER_BITS_CAP}")
     return UnramifiedContext(args.p, args.f, s, args.precision)
 
 

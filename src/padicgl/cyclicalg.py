@@ -124,6 +124,8 @@ class CyclicAlgebra:
         self.ctx = ctx
         self.r = r
         self.s = ctx.s
+        # Pi^s = p^r is only ever used in the carrier, mod p^N
+        self._p_to_r = pow(ctx.p, r, ctx.carrier.pN)
 
     def element(self, coeffs: Sequence[Sequence[int]]) -> CyclicAlgebraElement:
         carrier = self.ctx.carrier
@@ -143,7 +145,7 @@ class CyclicAlgebra:
     def pi(self) -> CyclicAlgebraElement:
         carrier = self.ctx.carrier
         if self.s == 1:
-            return self.from_carrier(carrier.from_int(self.ctx.p ** self.r))
+            return self.from_carrier(carrier.from_int(self._p_to_r))
         coeffs = [carrier.zero()] * self.s
         coeffs[1] = carrier.one()
         return CyclicAlgebraElement(self.r, self.s, tuple(coeffs))
@@ -158,7 +160,7 @@ class CyclicAlgebra:
         for i, a in enumerate(x.coeffs):
             if carrier.is_zero(a):
                 continue
-            wrapped = carrier.scalar_mul(self.ctx.p ** self.r, a)
+            wrapped = carrier.scalar_mul(self._p_to_r, a)
             for j, b in enumerate(y.coeffs):
                 if not carrier.is_zero(b):
                     terms[(i + j) % s].append((a if i + j < s else wrapped, self.ctx.sigma(b, i)))
@@ -184,8 +186,7 @@ class CyclicAlgebra:
         """Left multiplication in the K_s-column model, entry by entry:
         M(x)[i][k] = sigma^-(i+1)(a_((i-k) mod s)), times p^r when i < k
         (the wrap-around of Pi^s = p^r)."""
-        carrier = self.ctx.carrier
-        p_to_r = self.ctx.p ** self.r
+        carrier, p_to_r = self.ctx.carrier, self._p_to_r
         out = []
         for i in range(self.s):
             twisted = [self.ctx.sigma(a, -(i + 1)) for a in x.coeffs]

@@ -3,15 +3,20 @@
 Every number this library touches -- Satake parameters, L-factor
 coefficients, epsilon monomials, eigenvalue norms -- lies in
 Q(i) * q^((1/2)Z) for a concrete prime power q = p^f.  Scalars are stored
-as a Gaussian rational c together with a half-integer exponent k/2, and
-the representation is deliberately *not* canonical: 3 * q^0 and 1 * q^(1/2)
-denote the same number when q = 9.  Equality therefore never compares the
-raw data field by field.  :func:`equals_one` decides every equality: x = c *
-q^(k/2) is 1 exactly when c is a positive rational p^v and k/2 + v/f = 0,
-which it reads from p-valuations (:func:`as_q_power`) without forming any
-power of q; :func:`norm_is_one` and :func:`scalars_equal` ask it of |x|^2
-and of x / y.  :func:`canonical_scalar` fixes the one printed form, and its
-key orders scalars; only values that must be sorted or printed go through it.
+as a Gaussian rational c together with a half-integer exponent k/2.  c is
+one integer triple (a, b, d) meaning (a + b i)/d, with gcd(a, b, d) = 1
+and d > 0, so its arithmetic builds no Fraction; its ``re`` and ``im`` are
+reduced Fractions formed only when read, for printing and JSON.
+
+The scalar representation is deliberately *not* canonical: 3 * q^0 and
+1 * q^(1/2) denote the same number when q = 9.  Equality therefore never
+compares the raw data field by field.  :func:`equals_one` decides every
+equality: x = c * q^(k/2) is 1 exactly when c is a positive rational p^v
+and k/2 + v/f = 0, which it reads from p-valuations (:func:`as_q_power`)
+without forming any power of q; :func:`norm_is_one` and
+:func:`scalars_equal` ask it of |x|^2 and of x / y.
+:func:`canonical_scalar` fixes the one printed form, and its key orders
+scalars; only values that must be sorted or printed go through it.
 
 A power of q or of a Gaussian rational that would pass POWER_BITS_CAP bits
 is refused before it is formed, so no input makes the arithmetic run away.
@@ -19,9 +24,9 @@ is refused before it is formed, so no input makes the arithmetic run away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
+from math import gcd, lcm, log2
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -56,76 +61,151 @@ def _half_integer(value: FractionLike, what: str = "exponent") -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """An element of Q(i), kept in lowest terms by Fraction."""
+    """An element (a + b i) / d of Q(i), stored as three integers in the
+    normal form gcd(a, b, d) = 1, d > 0, so that equal numbers are equal
+    data.  A product takes four integer products for the numerators and
+    one gcd; no Fraction is built on the arithmetic paths.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    ``re`` and ``im`` are the reduced Fractions a/d and b/d, formed when
+    read: the printed forms, the JSON form and the canonical sort key are
+    written from them, and they keep those bytes as they were."""
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: FractionLike = 0, im: FractionLike = 0):
+        re, im = _fraction(re), _fraction(im)
+        # with d the lcm of two reduced denominators, a, b and d share no prime
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @staticmethod
     def of(re: FractionLike, im: FractionLike = 0) -> "GaussianRational":
-        return GaussianRational(_fraction(re), _fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def _parts(self) -> Tuple[int, int, int, int]:
+        """(re.numerator, re.denominator, im.numerator, im.denominator),
+        without forming the Fractions."""
+        a, b, d = self._a, self._b, self._d
+        g, h = gcd(a, d), gcd(b, d)
+        return a // g, d // g, b // h, d // h
+
+    def _is_one(self) -> bool:
+        return self._a == self._d and not self._b
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _make(a - c, b - e, d)
+        return _make(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other._is_one():
+            return self
+        if self._is_one():
+            return other
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b = self._a, self._b
+        return Fraction(a * a + b * b, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm_sq()
-        if n == 0:
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(a * d, -b * d, n)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        return self * other.inverse()
+        if other._is_one():
+            return self
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        # (a + b i) / d * f (c - e i) / n
+        return _make(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
     def __pow__(self, n: int) -> "GaussianRational":
         if abs(n) > 1:  # the numerators grow as |c|^n, the denominators as theirs
             nrm = self.norm_sq()
+            _, re_den, _, im_den = self._parts()
             height = max(log2(max(nrm.numerator, nrm.denominator)) / 2,
-                         log2(max(self.re.denominator, self.im.denominator)))
+                         log2(max(re_den, im_den)))
             _refuse_power(height, n, f"({height:.3g}-bit Gaussian rational)")
         if n < 0:
             return self.inverse() ** (-n)
         return power(self, n, GaussianRational.__mul__, QI_ONE)
 
-    def scale(self, r: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * r, self.im * r)
+    def scale(self, r: FractionLike) -> "GaussianRational":
+        return _make(self._a * r.numerator, self._b * r.numerator, self._d * r.denominator)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{istr}"
+        return f"{re}{sign}{istr}"
 
 
-QI_ZERO = GaussianRational.of(0)
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d in normal form; d > 0."""
+    g = gcd(a, b, d)
+    x = object.__new__(GaussianRational)
+    if g == 1:
+        x._a, x._b, x._d = a, b, d
+    else:
+        x._a, x._b, x._d = a // g, b // g, d // g
+    return x
+
+
 QI_ONE = GaussianRational.of(1)
 
 
@@ -221,21 +301,29 @@ def canonical_scalar(x: ExactScalar, ctx: LocalFieldContext) -> ExactScalar:
     absorbed and k = 0.  Two scalars are equal iff their canonical forms are
     equal as data."""
     a, r = divmod(x.k, 2)
-    c = x.c.scale(ctx.q_pow(a)) if a else x.c
-    if r and ctx.sqrt_q is not None:
-        c = c.scale(Fraction(ctx.sqrt_q))
+    if a:
+        _refuse_power(ctx.f * log2(ctx.p), a, "q")
+    e = a * ctx.f  # c q^a = c p^e, and for square q, c q^(1/2) = c p^(f/2)
+    if r and ctx.f % 2 == 0:
+        e += ctx.f // 2
         r = 0
+    c = x.c
+    if e > 0:
+        m = ctx.p ** e
+        c = _make(c._a * m, c._b * m, c._d)
+    elif e < 0:
+        c = _make(c._a, c._b, c._d * ctx.p ** -e)
     return ExactScalar(c, r)
 
 
 def canonical_scalar_key(x: ExactScalar, ctx: LocalFieldContext):
     y = canonical_scalar(x, ctx)
-    return (y.c.re.numerator, y.c.re.denominator, y.c.im.numerator, y.c.im.denominator, y.k)
+    return y.c._parts() + (y.k,)
 
 
-def _p_valuation(x: Fraction, p: int) -> Tuple[int, int, int]:
-    """(v, a, b) with x = p^v * a / b and p dividing neither a nor b; x != 0."""
-    a, b = x.numerator, x.denominator
+def _p_valuation(a: int, b: int, p: int) -> Tuple[int, int, int]:
+    """(v, a', b') with a / b = p^v * a' / b' and p dividing neither a' nor
+    b'; a, b != 0."""
     v = 0
     while a % p == 0:
         a //= p
@@ -248,9 +336,10 @@ def _p_valuation(x: Fraction, p: int) -> Tuple[int, int, int]:
 
 def as_q_power(x: ExactScalar, ctx: LocalFieldContext) -> Optional[Fraction]:
     """If x = q^w for a half-integer w, return w, else None."""
-    if x.c.im != 0 or x.c.re <= 0:
+    c = x.c
+    if c._b or c._a <= 0:
         return None
-    v, a, b = _p_valuation(x.c.re, ctx.p)
+    v, a, b = _p_valuation(c._a, c._d, ctx.p)  # a/d is in lowest terms, as b = 0
     if a != 1 or b != 1:
         return None
     w = Fraction(x.k, 2) + Fraction(v, ctx.f)
@@ -290,7 +379,8 @@ def norm_is_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
     """True iff |x|^2 = N(c) q^k is 1; x must be nonzero."""
     if x.is_zero():
         raise ValueError("norm of zero scalar")
-    return equals_one(ExactScalar(GaussianRational(x.c.norm_sq()), 2 * x.k), ctx)
+    a, b, d = x.c._a, x.c._b, x.c._d
+    return equals_one(ExactScalar(_make(a * a + b * b, 0, d * d), 2 * x.k), ctx)
 
 
 def scalars_equal(x: ExactScalar, y: ExactScalar, ctx: LocalFieldContext) -> bool:
@@ -324,7 +414,12 @@ class LFactor:
 
     @staticmethod
     def of(pairs: Iterable[Tuple[ExactScalar, int]]) -> "LFactor":
-        return LFactor(tuple(pairs))
+        # Through a list: CPython builds tuple(<generator>) at a guessed
+        # length and resizes it, so when freed it lands on the free list of
+        # another length; those per-length lists (up to 2000 tuples each)
+        # then fill over a long run and hold memory.  A list gives the tuple
+        # its final length, and allocation and freeing balance.
+        return LFactor(tuple(list(pairs)))
 
     def __mul__(self, other: "LFactor") -> "LFactor":
         return LFactor(self.factors + other.factors)
@@ -335,7 +430,7 @@ class LFactor:
     def shift(self, c: FractionLike) -> "LFactor":
         """L(s + c) as an LFactor in s: every (a, t) becomes (a*q^(-t*c), t)."""
         c = _half_integer(c, "shift")
-        return LFactor(tuple((a.shift(-t * c), t) for a, t in self.factors))
+        return LFactor(tuple([(a.shift(-t * c), t) for a, t in self.factors]))
 
     def canonical_order(self, ctx: LocalFieldContext) -> List[Tuple[tuple, ExactScalar, int]]:
         """(key, a, t) for every factor, sorted by key = (t,) + the canonical

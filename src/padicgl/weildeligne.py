@@ -95,7 +95,7 @@ def wd_dual(rho: WDRep) -> WDRep:
     """Blockwise contragredient: Sp(m)^vee = |.|^(1-m) tensor Sp(m), so the
     block (a, m) goes to (a^vee(1-m), m) -- the same formula as for
     segments."""
-    return WDRep(tuple(WDBlock(b.atom.dual().twist(1 - b.m), b.m) for b in rho.blocks))
+    return WDRep(tuple([WDBlock(b.atom.dual().twist(1 - b.m), b.m) for b in rho.blocks]))
 
 
 def wd_tensor_char(rho: WDRep, chi: Atom, ctx: LocalFieldContext,
@@ -168,6 +168,9 @@ def clebsch_gordan(m1: int, m2: int) -> List[Tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # the explicit matrix model
+#
+# Tuples here are built from lists, not generators, for the reason given at
+# qexact.LFactor.of: the oracle builds thousands of them per second.
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ class UnramMatrixRep:
         return len(self.frobenius)
 
     def __post_init__(self):
-        diag = tuple(canonical_scalar(d, self.ctx) for d in self.frobenius)
+        diag = tuple([canonical_scalar(d, self.ctx) for d in self.frobenius])
         object.__setattr__(self, "frobenius", diag)
         n = len(diag)
         if len(self.nilpotent) != n or any(len(row) != n for row in self.nilpotent):
@@ -219,7 +222,7 @@ def explicit_unramified(rho: WDRep, ctx: LocalFieldContext) -> UnramMatrixRep:
     nil = [[0] * dim for _ in range(dim)]
     for i, j in nil_entries:
         nil[i][j] = 1
-    return UnramMatrixRep(ctx, tuple(diag), tuple(tuple(row) for row in nil))
+    return UnramMatrixRep(ctx, tuple(diag), tuple([tuple(row) for row in nil]))
 
 
 def dual_matrix_rep(rep: UnramMatrixRep) -> UnramMatrixRep:
@@ -227,8 +230,8 @@ def dual_matrix_rep(rep: UnramMatrixRep) -> UnramMatrixRep:
     diagonal and N -> N^T (the sign of -N^T does not change kernels or
     determinants, and dropping it keeps the 0/1 entry convention)."""
     n = rep.dimension
-    frob = tuple(d.inverse() for d in rep.frobenius)
-    nil = tuple(tuple(rep.nilpotent[j][i] for j in range(n)) for i in range(n))
+    frob = tuple([d.inverse() for d in rep.frobenius])
+    nil = tuple([tuple([rep.nilpotent[j][i] for j in range(n)]) for i in range(n)])
     return UnramMatrixRep(rep.ctx, frob, nil)
 
 
@@ -236,7 +239,7 @@ def tensor_matrix_rep(r1: UnramMatrixRep, r2: UnramMatrixRep) -> UnramMatrixRep:
     """Kronecker product of the Frobenius diagonals; N = N1 (x) 1 + 1 (x) N2."""
     n1, n2 = r1.dimension, r2.dimension
     n = n1 * n2
-    frob = tuple(d1 * d2 for d1 in r1.frobenius for d2 in r2.frobenius)
+    frob = tuple([d1 * d2 for d1 in r1.frobenius for d2 in r2.frobenius])
     nil = [[0] * n for _ in range(n)]
     for i1 in range(n1):
         for i2 in range(n2):
@@ -245,24 +248,28 @@ def tensor_matrix_rep(r1: UnramMatrixRep, r2: UnramMatrixRep) -> UnramMatrixRep:
                 nil[j1 * n2 + i2][col] += r1.nilpotent[j1][i1]
             for j2 in range(n2):
                 nil[i1 * n2 + j2][col] += r2.nilpotent[j2][i2]
-    return UnramMatrixRep(r1.ctx, frob, tuple(tuple(r) for r in nil))
+    return UnramMatrixRep(r1.ctx, frob, tuple([tuple(r) for r in nil]))
 
 
 def _rational_rank(mat: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in mat if any(row)]
+    """Rank over Q of an integer matrix, by fraction-free (Bareiss)
+    elimination: after each pivot every remaining entry is a minor of the
+    matrix, so the division by the previous pivot is exact and the entries
+    stay integers of bounded size."""
+    rows = [list(row) for row in mat if any(row)]
     ncols = len(rows[0]) if rows else 0
-    rank = 0
+    rank, prev = 0, 1
     for col in range(ncols):
-        sel = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         pivot = rows[rank]
+        pv = pivot[col]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / pivot[col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], pivot)]
+            f = rows[i][col]
+            rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], pivot)]
+        prev = pv
         rank += 1
     return rank
 

@@ -6,8 +6,10 @@ import ast
 import inspect
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import log2
 
 from padicgl.bzclass import (
     Atom,
@@ -16,7 +18,8 @@ from padicgl.bzclass import (
     load_registry,
     unramified_atom,
 )
-from padicgl.qexact import ExactScalar, GaussianRational, LocalFieldContext, canonical_scalar_key
+from padicgl.common import power
+from padicgl.qexact import ExactScalar, GaussianRational, LocalFieldContext, _refuse_power, canonical_scalar_key
 from padicgl.wittring import _monic_polys, _poly_mod
 
 
@@ -203,6 +206,112 @@ def scalars_equal_by_key(x, y, ctx):
     """Reference for qexact.scalars_equal on nonzero scalars (its formula
     before it divided): equal canonical keys."""
     return canonical_scalar_key(x, ctx) == canonical_scalar_key(y, ctx)
+
+
+@dataclass(frozen=True)
+class FractionPairGaussian:
+    """Reference for qexact.GaussianRational: an element of Q(i) as a pair of
+    Fractions (the library's class before it kept one integer triple)."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(re, im=0) -> "FractionPairGaussian":
+        return FractionPairGaussian(Fraction(re), Fraction(im))
+
+    def __add__(self, other):
+        return FractionPairGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPairGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FractionPairGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return FractionPairGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def norm_sq(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def inverse(self):
+        n = self.norm_sq()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return FractionPairGaussian(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def power_height(self) -> float:
+        """log2 of the growth per factor that the power cap charges."""
+        nrm = self.norm_sq()
+        return max(log2(max(nrm.numerator, nrm.denominator)) / 2,
+                   log2(max(self.re.denominator, self.im.denominator)))
+
+    def __pow__(self, n: int):
+        if abs(n) > 1:
+            height = self.power_height()
+            _refuse_power(height, n, f"({height:.3g}-bit Gaussian rational)")
+        if n < 0:
+            return self.inverse() ** (-n)
+        return power(self, n, FractionPairGaussian.__mul__, FractionPairGaussian.of(1))
+
+    def scale(self, r):
+        return FractionPairGaussian(self.re * r, self.im * r)
+
+    def __str__(self) -> str:
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        istr = "i" if mag == 1 else f"{mag}i"
+        return f"{self.re}{sign}{istr}"
+
+
+def canonical_key_by_fractions(c: FractionPairGaussian, k: int, ctx):
+    """Reference for qexact.canonical_scalar_key of c * q^(k/2): the integral
+    power of q, and for square q the root, scaled into c as Fractions."""
+    a, r = divmod(k, 2)
+    if a:
+        c = c.scale(ctx.q_pow(a))
+    if r and ctx.sqrt_q is not None:
+        c = c.scale(Fraction(ctx.sqrt_q))
+        r = 0
+    return (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator, r)
+
+
+def rational_rank_by_fractions(mat):
+    """Reference for weildeligne._rational_rank: Gaussian elimination over
+    Fraction (what the oracle used before it eliminated fraction-free)."""
+    rows = [[Fraction(x) for x in row] for row in mat if any(row)]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                factor = rows[i][col] / pivot[col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
 
 
 def trial_division_irreducible(poly, p):

@@ -428,6 +428,46 @@ def test_modulus_search_at_a_large_prime_answers_quickly(argv, payload, key, ans
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("r", [30000001, 10 ** 10 + 1])
+def test_pi_power_at_a_huge_r_answers_quickly(r):
+    # Pi^s = p^r is used mod p^N only; r >= N, so Pi^64 = p^(32 r) = 0
+    start = time.perf_counter()
+    code, out = run_cli(["skewfield", "--p", "3", "--r", str(r), "--s", "2"],
+                        '{"op":"pi-power","e":64}', timeout=60)
+    assert code == 0 and json.loads(out)["coeffs"] == [[0, 0], [0, 0]]
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["skewfield", "--p", "2", "--r", "1", "--s", "2", "--precision", "10000"],
+    ["skewfield", "--p", "3", "--r", "1", "--s", "5", "--precision", "2523"],
+    ["dieudonne", "--p", "2", "--rank", "2", "--etale-height", "1", "--residue-degree", "20", "--precision", "1000"],
+])
+def test_precision_just_below_the_carrier_bits_cap_answers(argv, monkeypatch, capsys):
+    payload = '{"op":"invariant"}' if argv[0] == "skewfield" else ""
+    code, doc = _main_in_process(argv, payload, monkeypatch, capsys)
+    assert code == 0, doc
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["skewfield", "--p", "2", "--r", "1", "--s", "2", "--precision", "10001"],
+     "precision 10001 at carrier degree 2: degree * log2(p^N) = 20002 passes the cap of 20000"),
+    (["skewfield", "--p", "3", "--r", "1", "--s", "5", "--precision", "2524"],
+     "precision 2524 at carrier degree 5: degree * log2(p^N) = 20002 passes the cap of 20000"),
+    (["skewfield", "--p", "2", "--r", "1", "--s", "40", "--precision", "501"],
+     "precision 501 at carrier degree 40: degree * log2(p^N) = 20040 passes the cap of 20000"),
+    (["skewfield", "--p", "2", "--r", "1", "--s", "40", "--precision", "4000"],
+     "precision 4000 at carrier degree 40: degree * log2(p^N) = 160000 passes the cap of 20000"),
+    (["dieudonne", "--p", "2", "--rank", "2", "--etale-height", "1", "--residue-degree", "20", "--precision", "1001"],
+     "precision 1001 at carrier degree 20: degree * log2(p^N) = 20020 passes the cap of 20000"),
+])
+def test_precision_above_the_carrier_bits_cap_is_refused_at_once(argv, detail, monkeypatch, capsys):
+    payload = '{"op":"invariant"}' if argv[0] == "skewfield" else ""
+    start = time.perf_counter()
+    assert _main_in_process(argv, payload, monkeypatch, capsys) == (1, {"error": "ValueError", "detail": detail})
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("argv,payload", [
     (["skewfield", "--p", "2", "--r", "-1", "--s", "2"], '{"op":"mul","x":[[1],[1]],"y":[[1],[1]]}'),
     (["skewfield", "--p", "2", "--r", "-3", "--s", "2"], '{"op":"norm","x":[[1],[1]]}'),

@@ -1,11 +1,15 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FractionPairGaussian,
+    canonical_key_by_fractions,
     equals_one_by_square,
     names_reached,
     norm_is_one_by_comparison,
@@ -13,10 +17,12 @@ from helpers import (
     scalars_equal_by_key,
 )
 from padicgl.qexact import (
+    POWER_BITS_CAP,
     ExactScalar,
     GaussianRational,
     LFactor,
     LocalFieldContext,
+    canonical_scalar_key,
     equals_one,
     norm_is_one,
     render_scalar,
@@ -196,3 +202,100 @@ def test_power_cap_refuses_before_forming_and_spares_units():
     for unit, value in [((-1, 0), 1), ((0, 1), -1), ((0, -1), -1)]:
         assert GaussianRational.of(*unit) ** e == GaussianRational.of(value)
         assert (ExactScalar.of(*unit) ** -e).c == GaussianRational.of(value)
+
+
+# GaussianRational keeps (a + b i) / d as integers; FractionPairGaussian in
+# helpers is the reference with the same public behaviour.
+small_fractions = st.builds(
+    Fraction,
+    st.integers(-60, 60),
+    st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10, 12, 15, 25, 27, 30, 49)),
+)
+
+
+@st.composite
+def gaussian_pairs(draw):
+    """(new, reference) for the same drawn element of Q(i)."""
+    re, im = draw(small_fractions), draw(small_fractions)
+    return GaussianRational(re, im), FractionPairGaussian(re, im)
+
+
+def _same(new, ref):
+    assert (new.re, new.im) == (ref.re, ref.im)
+    assert str(new) == str(ref)
+    a, b, d = new._a, new._b, new._d
+    assert d > 0 and gcd(a, b, d) == 1  # the normal form
+    assert new == GaussianRational(ref.re, ref.im)
+    assert hash(new) == hash(GaussianRational(ref.re, ref.im))
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gaussian_pairs(), gaussian_pairs(), small_fractions, st.integers(-6, 6))
+def test_integer_triple_matches_the_fraction_pair(x, y, r, n):
+    (xn, xr), (yn, yr) = x, y
+    _same(xn, xr)
+    for op in (operator.add, operator.sub, operator.mul):
+        _same(op(xn, yn), op(xr, yr))
+    _same(-xn, -xr)
+    _same(xn.scale(r), xr.scale(r))
+    assert xn.norm_sq() == xr.norm_sq()
+    assert xn.is_zero() == xr.is_zero()
+    assert (xn == yn) == (xr == yr)
+    for op, args_new, args_ref in ((operator.truediv, (xn, yn), (xr, yr)),
+                                   (lambda z: z.inverse(), (xn,), (xr,)),
+                                   (operator.pow, (xn, n), (xr, n))):
+        got, want = _outcome(op, *args_new), _outcome(op, *args_ref)
+        if want is ZeroDivisionError:
+            assert got is ZeroDivisionError
+        else:
+            _same(got, want)
+    # equal values reached two ways are one dict key
+    assert len({xn * yn: 0, yn * xn: 1, (xn + yn) * yn - yn * yn: 2}) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gaussian_pairs(), st.sampled_from(Q_CONTEXTS), st.integers(-40, 40))
+def test_canonical_key_matches_the_fraction_pair(x, ctx, k):
+    xn, xr = x
+    assert canonical_scalar_key(ExactScalar(xn, k), ctx) == canonical_key_by_fractions(xr, k, ctx)
+
+
+def _refused(x, n):
+    try:
+        x ** n
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gaussian_pairs())
+def test_power_cap_refuses_at_the_same_exponent(x):
+    xn, xr = x
+    if xr.is_zero() or xr.power_height() == 0:
+        return  # 0 and the units are never refused
+    n0 = int(POWER_BITS_CAP // xr.power_height())
+    for n in (n0, n0 + 1, -n0, -n0 - 1):
+        assert _refused(xn, n) == _refused(xr, n)
+
+
+def test_power_cap_reads_the_reduced_denominators():
+    # 1/10 + 2i/15 = (3 + 4i)/30: the denominators are 10 and 15, not 30,
+    # and the norm 1/36 charges only log2(6) bits
+    x = GaussianRational(Fraction(1, 10), Fraction(2, 15))
+    assert (x._a, x._b, x._d) == (3, 4, 30)
+    n0 = int(POWER_BITS_CAP // log2(15))
+    assert x ** n0 == GaussianRational(Fraction(1, 10), Fraction(2, 15)) ** (n0 - 1) * x
+    with pytest.raises(ValueError, match="would pass the cap"):
+        x ** (n0 + 1)
+    # at 1/2 + i/3 the norm 13/36 charges more than either denominator
+    y = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+    n1 = int(POWER_BITS_CAP // (log2(36) / 2))
+    assert not _refused(y, n1) and _refused(y, n1 + 1)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_ctx, names_reached, random_class_data, steinberg, trivial_atom
+from helpers import make_ctx, names_reached, random_class_data, rational_rank_by_fractions, steinberg, trivial_atom
 from padicgl.bzclass import Atom, unramified_atom
 from padicgl.langlands import rec_forward
 from padicgl.qexact import ExactScalar, LFactor, equals_one, lfactors_equal, scalars_equal
 from padicgl.weildeligne import (
+    _rational_rank,
     UnramMatrixRep,
     WDBlock,
     dual_matrix_rep,
@@ -274,3 +275,17 @@ def test_matrix_oracle_never_reads_block_data():
     forbidden = {"WDRep", "WDBlock", "blocks", "clebsch_gordan"}
     assert not [(fn, name) for fn, name in reached if name in forbidden]
     assert "_eigenspace_kernels" in {fn for fn, _ in reached}
+
+
+def test_fraction_free_rank_matches_elimination_over_fractions():
+    # random integer matrices with dependent rows, zero rows and zero
+    # columns, so that pivots are skipped and rows swapped
+    rng = random.Random(15)
+    for _ in range(400):
+        ncols = rng.randint(1, 8)
+        base = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+        mixes = [[sum(rng.randint(-3, 3) * row[j] for row in base) for j in range(ncols)]
+                 for _ in range(rng.randint(0, 3))]
+        mat = base + mixes
+        rng.shuffle(mat)
+        assert _rational_rank(mat) == rational_rank_by_fractions(mat), mat
