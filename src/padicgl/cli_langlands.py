@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .bzclass import RegistryError, gl_predicates, involution_t, load_registry
-from .common import PayloadError, array, field, fraction_to_json, read_payload
+from .common import PayloadError, array, field, fraction_to_json, read_json, read_payload
 from .factors import conductor, gl_pair_l_inductive, wd_eps, wd_l_factor, wd_pair_l
 from .jsonio import (
     DEFAULT_REGISTRY_DOC,
@@ -41,10 +41,13 @@ def _registry(args, ctx):
     if args.registry is None:
         return load_registry(DEFAULT_REGISTRY_DOC, ctx)
     with open(args.registry, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RegistryError(f"{args.registry}: not a JSON document: {exc}") from None
+        text = fh.read()
+    try:
+        doc = read_json(text, args.registry)
+    except json.JSONDecodeError as exc:
+        raise RegistryError(f"{args.registry}: not a JSON document: {exc}") from None
+    except PayloadError as exc:
+        raise RegistryError(str(exc)) from None
     return load_registry(doc, ctx)
 
 

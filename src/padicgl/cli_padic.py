@@ -55,6 +55,8 @@ def _witt_ring(spec, p: int):
 
 
 def _witt_coord(ring, c, path):
+    if isinstance(c, bool):  # an int to Python, which every ring would read as 0 or 1
+        raise PayloadError(f"{path}: expected a number, got a boolean")
     if isinstance(c, list):
         c = digits(c, path)
     elif isinstance(c, str):

@@ -67,6 +67,17 @@ class PayloadError(ValueError):
     ``segments[1].m: expected an integer, got an object``."""
 
 
+def read_json(text: str, where: str):
+    """json.loads(text).  An integer longer than Python's int-to-str digit
+    limit is a PayloadError naming where, not Python's plain ValueError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise PayloadError(f"{where}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def read_payload(source: str):
     """The JSON document in the file at source, or on stdin for "-"."""
     if source == "-":
@@ -76,7 +87,7 @@ def read_payload(source: str):
             text = fh.read()
     if not text.strip():
         raise PayloadError("empty payload")
-    return json.loads(text)
+    return read_json(text, "payload")
 
 
 # -- payload readers: each names the JSON path it reads ("" is the payload)
@@ -130,7 +141,10 @@ def array(v, path: str, item=None) -> list:
 
 
 def integer(v, path: str) -> int:
-    """int(v): what the payload always accepted where it reads an integer."""
+    """int(v) for an integer, an integral number or a string that reads as
+    one; a boolean or a non-integral number is refused, not truncated."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise _bad(path, "an integer", v)
     try:
         return int(v)
     except (TypeError, ValueError, OverflowError):
@@ -146,7 +160,7 @@ def string(v, path: str) -> str:
 def digits(v, path: str) -> list:
     """A JSON array of integers: the coefficients of a carrier element."""
     for i, c in enumerate(array(v, path)):
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise _bad(child_path(path, i), "an integer", c)
     return v
 

@@ -6,7 +6,9 @@ of two routes per coefficient ring R:
 
 * F_{p^r}: the Teichmuller bridge W_n(F_{p^r}) = (Z/p^n)[x]/(F) of
   :class:`UnramWittCarrier` and its inverse, with the operation done in the
-  carrier.
+  carrier.  The carrier's lifts from the residue field F_{p^r}, the
+  Teichmuller lift and the inverse of a unit, each start with a power in
+  F_{p^r} and then take only the steps the precision n fixes.
 * Z, Z/m and Q: the coordinates lifted to Z, the ghost computation over Z
   with exact division by p^m (the ghost map is injective on the
   p-torsion-free Z), and the result mapped back into R.  For Z/m, for every
@@ -347,14 +349,15 @@ class UnramWittCarrier:
         return any(c % self.p for c in a)
 
     def inv_unit(self, a: Element) -> Element:
+        """a^-1 for a unit a: z = res(a)^(p^m - 2), the inverse in the
+        residue field F_{p^m}, lifted, then Newton's z <- z(2 - a z).  If
+        a z = 1 - p^k y then a z(2 - a z) = 1 - p^(2k) y^2, so the accuracy
+        doubles from p^1, and (N - 1).bit_length() steps reach p^N."""
         if not self.is_unit(a):
             raise ZeroDivisionError("not a unit in the carrier")
-        # a^(p^m - 2) inverts a mod p, since a^(p^m - 1) = 1 in F_{p^m}
-        z = self.pow(a, self.p ** self.m - 2)
-        # Newton: z <- z(2 - a z), doubling p-adic accuracy each step
-        steps = max(1, (self.precision - 1).bit_length() + 1)
+        z = self.residue.pow(self.reduce_mod_p(a), self.p ** self.m - 2)
         two = self.from_int(2)
-        for _ in range(steps):
+        for _ in range((self.precision - 1).bit_length()):
             z = self.mul(z, self.sub(two, self.mul(a, z)))
         if self.mul(a, z) != self.one():
             raise ArithmeticError("Hensel inversion failed")
@@ -363,21 +366,17 @@ class UnramWittCarrier:
     # -- Teichmuller bridge to coordinate Witt vectors ------------------------
 
     def teichmuller(self, res) -> Element:
-        """[res]: the root of z^(p^m) = z congruent to res mod p (cached)."""
-        z = self.element(list(res))
-        lift = self._teichmuller.get(z)
-        if lift is not None:
-            return lift
-        key, size = z, self.p ** self.m
-        for _ in range(self.precision + 1):
-            nz = self.pow(z, size)
-            if nz == z:
-                break
-            z = nz
-        if self.pow(z, size) != z:
-            raise ArithmeticError("Teichmuller lift did not converge")
-        self._teichmuller[key] = z
-        return z
+        """[res], the root of z^(p^m) = z congruent to res mod p (cached):
+        r^(p^(N-1)) for any lift r of the p^(N-1)-th root of res in
+        F_{p^m}.  Exact mod p^N, since r = [res^(p^-(N-1))](1 + p y) and
+        (1 + p y)^(p^k) = 1 mod p^(k+1) (Serre, Local Fields, II 4-6)."""
+        key = self.element(list(res))
+        lift = self._teichmuller.get(key)
+        if lift is None:
+            shift = self.precision - 1
+            root = self.residue.pow(self.reduce_mod_p(key), self.p ** (-shift % self.m))
+            lift = self._teichmuller[key] = self.pow(root, self.p ** shift)
+        return lift
 
     def from_witt_coords(self, coords) -> Element:
         """sum_i p^i [a_i^(p^-i)] -- the classical isomorphism from W_N."""

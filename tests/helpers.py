@@ -404,3 +404,25 @@ def from_int_by_doubling(ctx, value):
         if count:
             power = power + power
     return -out if value < 0 else out
+
+
+def teichmuller_by_iteration(carrier, res):
+    """Reference Teichmuller lift: the fixed point of z -> z^(p^m) from the
+    lift of res, each step exact to one more p-adic digit."""
+    z, size = carrier.element(list(res)), carrier.p ** carrier.m
+    for _ in range(carrier.precision + 1):
+        nz = carrier.pow(z, size)
+        if nz == z:
+            return z
+        z = nz
+    raise ArithmeticError("Teichmuller lift did not converge")
+
+
+def inverse_at_full_precision(carrier, a):
+    """Reference unit inverse: a^(p^m - 2) formed at full precision, then one
+    Newton step z <- z(2 - a z) more than doubling from p^1 needs."""
+    z = carrier.pow(a, carrier.p ** carrier.m - 2)
+    two = carrier.from_int(2)
+    for _ in range(max(1, (carrier.precision - 1).bit_length() + 1)):
+        z = carrier.mul(z, carrier.sub(two, carrier.mul(a, z)))
+    return z

@@ -496,6 +496,23 @@ def test_skewfield_refuses_negative_r(argv, payload, monkeypatch, capsys):
     (["skewfield", "--r", "1", "--s", "2"], '{"op":"norm","x":"x"}', "x: expected an array, got a string"),
     (["skewfield", "--r", "1", "--s", "2"], '{"op":"norm","x":[[1, "2"]]}',
      "x[0][1]: expected an integer, got a string"),
+    # numbers that int() would truncate, and booleans, which Python reads as 0 or 1
+    (["lfactor", "--p", "3"], '{"blocks":[{"label":"1","x":[1.5,1],"m":2}]}',
+     "blocks[0].x[0]: expected an integer, got a number"),
+    (["lfactor"], '{"blocks":[{"label":"1","m":2.9}]}', "blocks[0].m: expected an integer, got a number"),
+    (["lfactor"], '{"blocks":[{"label":"1","m":true}]}', "blocks[0].m: expected an integer, got a boolean"),
+    (["satake"], '{"direction":"toWD","values":[{"re":[1.5,2]}]}',
+     "values[0].re[0]: expected an integer, got a number"),
+    (["satake"], '{"direction":"toWD","values":[{"re":[1,1],"k":0.5}]}',
+     "values[0].k: expected an integer, got a number"),
+    (["skewfield", "--r", "1", "--s", "2"], '{"op":"pi-power","e":2.7}', "e: expected an integer, got a number"),
+    (["skewfield", "--r", "1", "--s", "2"], '{"op":"norm","x":[[true]]}',
+     "x[0][0]: expected an integer, got a boolean"),
+    (["witt", "--ring", "Z", "--length", "2"], '{"op":"neg","x":[true,0]}', "x[0]: expected a number, got a boolean"),
+    (["witt", "--ring", "Fq:2", "--length", "1"], '{"op":"neg","x":[[1,false]]}',
+     "x[0][1]: expected an integer, got a boolean"),
+    (["lfactor"], '{"blocks":[{"label":"1","x":[1%s,1]}]}' % ("0" * 5000),
+     "payload: an integer has more than 4300 digits"),
 ])
 def test_payload_errors_name_the_field(argv, payload, detail, monkeypatch, capsys):
     assert _main_in_process(argv, payload, monkeypatch, capsys) == (2, {"error": "parse", "detail": detail})
@@ -667,6 +684,31 @@ def test_registry_that_is_not_json(tmp_path, monkeypatch, capsys):
     code, doc = _main_in_process(["rec", "--registry", str(registry)], ST2, monkeypatch, capsys)
     assert code == 1 and doc["error"] == "RegistryError"
     assert doc["detail"].startswith(f"{registry}: not a JSON document")
+
+
+def test_registry_with_an_integer_past_the_digit_limit(tmp_path, monkeypatch, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text('[{"name": "1", "kind": "unramified-char", "degree": 1%s}]' % ("0" * 5000))
+    code, doc = _main_in_process(["rec", "--registry", str(registry)], ST2, monkeypatch, capsys)
+    assert (code, doc) == (1, {"error": "RegistryError",
+                               "detail": f"{registry}: an integer has more than 4300 digits"})
+
+
+def test_witt_reads_an_integer_past_the_default_digit_limit(monkeypatch, capsys):
+    # witt raises Python's int-to-str limit before it reads its payload
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"op":"neg","x":[1%s]}' % ("0" * 5000)))
+    assert main(["witt", "--ring", "Z", "--length", "1"]) == 0
+    out = capsys.readouterr().out
+    with _int_digits(6000):
+        assert json.loads(out) == {"result": [-10 ** 5000]}
+
+
+def test_integral_numbers_still_read_as_integers(monkeypatch, capsys):
+    # a JSON number with an integral value, and a string of digits, keep
+    # being read where an integer is expected
+    plain = _main_in_process(["lfactor", "--p", "3"], SP3, monkeypatch, capsys)
+    for payload in ('{"blocks":[{"label":"1","x":[0,1],"m":3.0}]}', '{"blocks":[{"label":"1","x":["0",1],"m":"3"}]}'):
+        assert _main_in_process(["lfactor", "--p", "3"], payload, monkeypatch, capsys) == plain
 
 
 def test_witt_over_z_at_a_large_p_is_refused_quickly():

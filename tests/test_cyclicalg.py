@@ -98,6 +98,16 @@ def test_power_matches_repeated_multiplication(p, s, r):
         alg.power(x, -1)
 
 
+@pytest.mark.parametrize("p,f,s,r", [(2, 1, 3, 1), (3, 2, 2, 1), (5, 1, 5, 2)])
+def test_multiplication_distributes_over_addition(p, f, s, r):
+    alg = CyclicAlgebra(UnramifiedContext(p, f, s, 4), r)
+    rng = random.Random(p * s + r)
+    for _ in range(8):
+        x, y, z = (rand_alg_elem(alg, rng) for _ in range(3))
+        assert alg.equal(alg.mul(x, alg.add(y, z)), alg.add(alg.mul(x, y), alg.mul(x, z)))
+        assert alg.equal(alg.mul(alg.add(y, z), x), alg.add(alg.mul(y, x), alg.mul(z, x)))
+
+
 def test_coprimality_enforced():
     ctx = UnramifiedContext(2, 1, 2, 3)
     with pytest.raises(ValueError):

@@ -15,7 +15,9 @@ from helpers import (
     norm_is_one_by_comparison,
     random_nonzero_scalar,
     scalars_equal_by_key,
+    trivial_atom,
 )
+from padicgl.bzclass import Atom
 from padicgl.qexact import (
     POWER_BITS_CAP,
     ExactScalar,
@@ -28,6 +30,7 @@ from padicgl.qexact import (
     render_scalar,
     scalars_equal,
 )
+from padicgl.weildeligne import sp_rep, wd_twist
 
 
 def test_scalar_arithmetic_examples():
@@ -299,3 +302,20 @@ def test_power_cap_reads_the_reduced_denominators():
     y = GaussianRational(Fraction(1, 2), Fraction(1, 3))
     n1 = int(POWER_BITS_CAP // (log2(36) / 2))
     assert not _refused(y, n1) and _refused(y, n1 + 1)
+
+
+def test_a_third_is_refused_wherever_a_half_integer_is_read():
+    ctx = LocalFieldContext(3, 1)
+    atom, third = trivial_atom(ctx), Fraction(1, 3)
+    l_factor = LFactor.of([(ExactScalar.one(), 1)])
+    for call, what in [
+        (lambda: Atom(atom.label, third), "twist"),
+        (lambda: atom.twist(third), "twist"),
+        (lambda: ExactScalar.one().shift(third), "exponent"),
+        (lambda: ExactScalar.q_power(third), "exponent"),
+        (lambda: l_factor.shift(third), "shift"),
+        (lambda: l_factor.pole_at(third, ctx), "s0"),
+        (lambda: wd_twist(sp_rep(atom, 2), third), "twist"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{what} must lie in \(1/2\)Z, got 1/3$"):
+            call()

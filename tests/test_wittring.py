@@ -25,7 +25,9 @@ from padicgl.wittring import (
     witt_polynomial,
 )
 
-from helpers import from_int_by_doubling, trial_division_irreducible
+from helpers import (
+    from_int_by_doubling, inverse_at_full_precision, teichmuller_by_iteration, trial_division_irreducible,
+)
 
 QQ = RationalField()
 ZZ = IntegerRing()
@@ -173,6 +175,44 @@ def test_teichmuller_bridge_round_trip(p, m, n):
         images.add(image)
         assert carrier.to_witt_coords(image) == coords
     assert len(images) == len(elements) ** n
+
+
+LIFT_GRID = [UnramWittCarrier(p, m, n) for p in (2, 3, 5, 101) for m in (1, 2, 3, 7) for n in (1, 2, 3, 11)]
+
+
+@given(st.data())
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_lifts_from_the_residue_field_match_the_full_precision_loops(data):
+    # the Teichmuller lift and the unit inverse start in F_{p^m}; the
+    # references run the earlier loops at full precision
+    for carrier in LIFT_GRID:
+        digits = st.lists(st.integers(0, carrier.pN - 1), min_size=carrier.m, max_size=carrier.m)
+        res = carrier.reduce_mod_p(carrier.element(data.draw(digits)))
+        lift = carrier.teichmuller(res)
+        assert carrier.pow(lift, carrier.p ** carrier.m) == lift
+        assert carrier.reduce_mod_p(lift) == res
+        assert lift == teichmuller_by_iteration(carrier, res)
+        unit = carrier.element(data.draw(digits))
+        if not carrier.is_unit(unit):
+            unit = carrier.add(unit, carrier.one())
+        inverse = carrier.inv_unit(unit)
+        assert carrier.mul(unit, inverse) == carrier.one()
+        assert inverse == inverse_at_full_precision(carrier, unit)
+
+
+def test_inverse_at_a_large_p():
+    carrier = UnramWittCarrier(1000003, 40, 25)
+    rng = random.Random(16)
+    a = carrier.element([rng.randrange(carrier.pN) for _ in range(40)])
+    assert carrier.mul(a, carrier.inv_unit(a)) == carrier.one()
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 1), (3, 2, 4), (5, 3, 2)])
+def test_inverse_of_a_non_unit_is_refused(p, m, n):
+    carrier = UnramWittCarrier(p, m, n)
+    for a in (carrier.zero(), carrier.from_int(p), carrier.scalar_mul(p, carrier.gen())):
+        with pytest.raises(ZeroDivisionError, match="not a unit"):
+            carrier.inv_unit(a)
 
 
 RINGS = [(QQ, 4), (ZZ, 4), (F2, 4), (F9, 3)]
