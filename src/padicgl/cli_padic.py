@@ -127,33 +127,40 @@ def run_witt(args):
 
 # A carrier element is m coefficients of log2(p^N) bits, for m = f s (f u
 # for dieudonne); lifting Frobenius and building sigma_K take about s m
-# carrier products of m^2 coefficient products each.  So the bits of p^N
+# carrier products and m^3 coefficient products.  So the bits of p^N
 # and the degree are capped together: at the cap, the slowest skewfield op
 # measured (mul at s = 40, p = 7, N = 178) took 3.5 s spawned on a 2-core
 # x86-64 box (Python 3.11.7).
 CARRIER_BITS_CAP = 20000
 
 
-def _unramified_context(args, s: int) -> UnramifiedContext:
-    """The carrier of --precision N and degree m = f s, refused before any
-    work if p^N has more digits than Python prints by default
-    (coefficients print mod p^N) or if m log2(p^N) passes
-    CARRIER_BITS_CAP."""
-    if args.p > 1:
-        if args.precision * log10(args.p) >= INT_DIGITS_LIMIT:
-            raise ValueError(f"precision {args.precision}: p^N = {args.p}^{args.precision} passes the cap of "
-                             f"{INT_DIGITS_LIMIT} digits")
-        degree = args.f * s
-        size = degree * args.precision * log2(args.p)
-        if size > CARRIER_BITS_CAP:
-            raise ValueError(f"precision {args.precision} at carrier degree {degree}: degree * log2(p^N) = "
-                             f"{size:.0f} passes the cap of {CARRIER_BITS_CAP}")
-    return UnramifiedContext(args.p, args.f, s, args.precision)
+def _carrier_size(args, s: int) -> float:
+    """m log2(p^N) for the carrier of --precision N and degree m = f s,
+    refused before any work if p^N has more digits than Python prints by
+    default (coefficients print mod p^N) or if it passes CARRIER_BITS_CAP;
+    0 for a p below 2, which the context refuses."""
+    if args.p < 2:
+        return 0.0
+    if args.precision * log10(args.p) >= INT_DIGITS_LIMIT:
+        raise ValueError(f"precision {args.precision}: p^N = {args.p}^{args.precision} passes the cap of "
+                         f"{INT_DIGITS_LIMIT} digits")
+    degree = args.f * s
+    size = degree * args.precision * log2(args.p)
+    if size > CARRIER_BITS_CAP:
+        raise ValueError(f"precision {args.precision} at carrier degree {degree}: degree * log2(p^N) = "
+                         f"{size:.0f} passes the cap of {CARRIER_BITS_CAP}")
+    return size
 
 
-# The reduced norm is a division-free determinant: about s^4 (f s)^2
-# coefficient products, against s (f s)^3 for the rest of skewfield.
+# The reduced norm is Bird's division-free determinant of an s x s matrix
+# over the carrier: about s^4 / 3 packed products of integers of about
+# 2 f s log2(p^N) bits, whose cost grows about as the 1.5th power of that
+# size (doubling it at s = 16, 20 and 24 multiplied the time by 2.2 to
+# 3.2).  So a norm needs f s <= NORM_DEGREE_CAP and is charged
+# s^4 (f s log2 p^N)^1.5, refused past NORM_COST_CAP, where a norm takes
+# about 2 s (s = 24, p^N of 2,000 bits / 24; s = 12, 12,800 bits / 12).
 NORM_DEGREE_CAP = 24
+NORM_COST_CAP = 3 * 10 ** 10
 # dieudonne: rank n over W(F_{q^u}) is rank n f u over W(F_p).
 DIEUDONNE_RANK_CAP = 400
 
@@ -163,7 +170,12 @@ def run_skewfield(args):
     op = field(payload, "op", default=None)
     if op == "norm" and args.f * args.s > NORM_DEGREE_CAP:
         raise ValueError(f"norm at f s = {args.f * args.s} passes the cap of {NORM_DEGREE_CAP}")
-    ctx = _unramified_context(args, args.s)
+    size = _carrier_size(args, args.s)
+    cost = args.s ** 4 * max(size, 0) ** 1.5
+    if op == "norm" and cost > NORM_COST_CAP:
+        raise ValueError(f"norm at s = {args.s} and f s log2(p^N) = {size:.0f}: s^4 (f s log2 p^N)^1.5 = "
+                         f"{cost:.4g} passes the cap of {NORM_COST_CAP:.0e}")
+    ctx = UnramifiedContext(args.p, args.f, args.s, args.precision)
     algebra = CyclicAlgebra(ctx, args.r)
 
     def element(key):
@@ -189,7 +201,8 @@ def run_dieudonne(args):
     if args.rank * args.f * args.residue_degree > DIEUDONNE_RANK_CAP:
         raise ValueError(f"rank n f u = {args.rank * args.f * args.residue_degree} passes the cap of "
                          f"{DIEUDONNE_RANK_CAP}")
-    ctx = _unramified_context(args, args.residue_degree)
+    _carrier_size(args, args.residue_degree)
+    ctx = UnramifiedContext(args.p, args.f, args.residue_degree, args.precision)
     mod = dieudonne_standard(args.rank, args.etale_height, ctx)
     etale, formal = etale_inf_height(mod)
     nf = args.rank - args.etale_height

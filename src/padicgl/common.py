@@ -69,13 +69,17 @@ class PayloadError(ValueError):
 
 def read_json(text: str, where: str):
     """json.loads(text).  An integer longer than Python's int-to-str digit
-    limit is a PayloadError naming where, not Python's plain ValueError."""
+    limit, or arrays and objects nested deeper than the recursion limit, is
+    a PayloadError naming where, not Python's plain ValueError or
+    RecursionError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError:
         raise PayloadError(f"{where}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise PayloadError(f"{where}: nested deeper than the recursion limit of {sys.getrecursionlimit()}") from None
 
 
 def read_payload(source: str):

@@ -218,26 +218,39 @@ def _det(carrier: UnramWittCarrier, a: Matrix) -> Element:
     upper triangle of X and puts -sum_{j > i} X_jj on the diagonal; then
     det A = (-1)^(n-1) X_00.  mu reads only the upper triangle of X, so
     only that half of each product is formed, and the last product only
-    its (0, 0) entry.  Zero entries of mu(X) and of A are skipped."""
-    n = len(a)
-    nonzero = [[any(e) for e in row] for row in a]
+    its (0, 0) entry.  Zero entries of mu(X) and of A are skipped.
+
+    Every entry is packed once, at one width (:class:`wittring._Packing`),
+    and X stays packed between the steps: an entry of mu(X) A is a sum of
+    integer products, reduced mod (p^N, F) once and packed again, and only
+    det is unpacked.  The diagonal -tail is n p^N - tail in every slot,
+    which borrows nothing since the tail adds at most n - 1 reduced
+    entries; so every factor has slots below p^N but that one, with slots
+    at most n p^N, and an entry, a sum of at most n products of m slot
+    products each, has slots below m p^N (n p^N + n p^N), the bound the
+    width is chosen for."""
+    n, pN = len(a), carrier.pN
+    packing = carrier.packing(2 * n * carrier.m * pN * pN)
+    a = [[packing.pack(e) for e in row] for row in a]
+    minus = packing.join([n * pN] * carrier.m)
     x = a
     for step in range(1, n):
         mu = [None] * n
-        tail = carrier.zero()
+        tail = 0
         for i in range(n - 1, -1, -1):
-            row = [(i, carrier.neg(tail))] + [(k, x[i][k]) for k in range(i + 1, n)]
-            mu[i] = [(k, e) for k, e in row if any(e)]
-            tail = carrier.add(tail, x[i][i])
+            row = [(i, minus - tail if tail else 0)] + [(k, x[i][k]) for k in range(i + 1, n)]
+            mu[i] = [(k, e) for k, e in row if e]
+            tail += x[i][i]
 
         def entry(i, j):
-            return carrier.dot((e, a[k][j]) for k, e in mu[i] if nonzero[k][j])
+            return sum([e * a[k][j] for k, e in mu[i] if a[k][j]])
 
         if step == n - 1:
             x = [[entry(0, 0)]]
         else:
-            x = [[None] * i + [entry(i, j) for j in range(i, n)] for i in range(n)]
-    return x[0][0] if n % 2 else carrier.neg(x[0][0])
+            x = [[None] * i + [packing.join(packing.reduce(entry(i, j))) for j in range(i, n)] for i in range(n)]
+    det = tuple(packing.reduce(x[0][0]))
+    return det if n % 2 else carrier.neg(det)
 
 
 def brauer_invariant(r: int, s: int, ctx: UnramifiedContext) -> Fraction:

@@ -8,7 +8,13 @@ of two routes per coefficient ring R:
   :class:`UnramWittCarrier` and its inverse, with the operation done in the
   carrier.  The carrier's lifts from the residue field F_{p^r}, the
   Teichmuller lift and the inverse of a unit, each start with a power in
-  F_{p^r} and then take only the steps the precision n fixes.
+  F_{p^r} and then take only the steps the precision n fixes.  Its
+  products are Kronecker-packed (:class:`_Packing`): each factor is one
+  integer with a slot of w bits per coefficient, a sum of products is a
+  sum of integer products, and it is reduced mod (p^n, F) once, where a
+  part h x^r at and above the degree becomes h (x^r mod F), again one
+  integer product.  w is chosen from a bound on every slot the sum and
+  the reduction form, so no slot carries into the next.
 * Z, Z/m and Q: the coordinates lifted to Z, the ghost computation over Z
   with exact division by p^m (the ghost map is injective on the
   p-torsion-free Z), and the result mapped back into R.  For Z/m, for every
@@ -28,8 +34,9 @@ refused before it forms an integer beyond :data:`WITT_BITS_CAP`, and every
 W_n whose numbers would pass :data:`WITT_MODULUS_BITS_CAP` is refused
 before any work.
 :func:`universal_polynomials` runs the same solve symbolically over Q; no
-runtime path evaluates them (their size grows exponentially with n), and
-the tests use them as the reference the routes are checked against.
+runtime path evaluates them (their size grows exponentially with n), so
+nothing keeps them, and the tests use them as the reference the routes
+are checked against.
 
 Conventions for truncated length N: vectors always carry N coordinates;
 Verschiebung shifts right and drops the top coordinate, and Frobenius uses
@@ -217,9 +224,10 @@ def find_irreducible(p: int, r: int) -> Tuple[int, ...]:
     raise RuntimeError("unreachable: irreducible polynomial exists")
 
 
-#: The largest extension degree m of a carrier: one product costs m^2
-#: coefficient products and a Teichmuller lift or a Frobenius matrix m^3
-#: and more.  It also bounds the modulus search: at most 4.7 s in the README sweep.
+#: The largest extension degree m of a carrier: one product is an integer
+#: product of m slots and a reduction of m - 1 slots, and a Teichmuller
+#: lift or a Frobenius matrix takes m^2 coefficient products and more.  It
+#: also bounds the modulus search: at most 4.7 s in the README sweep.
 CARRIER_DEGREE_CAP = 40
 
 
@@ -251,6 +259,13 @@ class UnramWittCarrier:
         self.modulus_low = tuple(c % p for c in self.modulus_fp[:m])
         self._one = (1 % self.pN,) + (0,) * (m - 1)  # built once: pow passes it on every call
         self._teichmuller: Dict[Element, Element] = {}
+        # the largest slot of one product of packed reduced elements, and
+        # the most that _Packing.reduce adds to a slot: at most m - 1
+        # rounds, each adding (p^N - 1)^2 per nonzero digit of F
+        self._product_bound = m * (self.pN - 1) ** 2
+        self._reduction_bound = (m - 1) * sum(map(bool, self.modulus_low)) * (self.pN - 1) ** 2
+        self._packings: Dict[int, _Packing] = {}
+        self._mul_packing = self.packing(self._product_bound)
 
     # -- basic ring structure ------------------------------------------------
 
@@ -296,23 +311,33 @@ class UnramWittCarrier:
         return tuple((-x) % self.pN for x in a)
 
     def mul(self, a: Element, b: Element) -> Element:
-        return self.dot(((a, b),))
+        """a * b: :meth:`dot` of the one pair, without the pair list (most
+        products are single, and at degree m <= 3 that list cost more than
+        the product)."""
+        packing = self._mul_packing
+        return tuple(packing.reduce(packing.pack(a) * packing.pack(b)))
+
+    def packing(self, bound: int) -> "_Packing":
+        """The packing, memoised by width, for sums of packed products
+        whose slots are at most bound: its slots also hold a reduced
+        coefficient, and bound plus what :meth:`_Packing.reduce` adds."""
+        width = max(bound + self._reduction_bound, self.pN - 1).bit_length()
+        packing = self._packings.get(width)
+        if packing is None:
+            packing = self._packings[width] = _Packing(self, width)
+        return packing
 
     def dot(self, pairs) -> Element:
-        """sum of a * b over the (a, b) pairs, reduced mod (p^N, F) once."""
-        m, pN = self.m, self.pN
-        prod = [0] * (2 * m - 1)
-        for a, b in pairs:
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b, i):
-                        prod[j] += ai * bj
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i] % pN
-            if c:
-                for j, low in enumerate(self.modulus_low, i - m):
-                    prod[j] -= c * low
-        return tuple([c % pN for c in prod[:m]])
+        """sum of a * b over the (a, b) pairs, reduced mod (p^N, F) once.
+        Each factor is packed with its coefficients read mod p^N (any
+        integers are accepted), so a slot of one product is at most
+        m (p^N - 1)^2 and a slot of the sum at most len(pairs) times that;
+        the packing is chosen for that bound, so no slot carries into the
+        next (:class:`_Packing`)."""
+        pairs = list(pairs)
+        packing = self.packing(len(pairs) * self._product_bound)
+        pack = packing.pack
+        return tuple(packing.reduce(sum([pack(a) * pack(b) for a, b in pairs])))
 
     def scalar_mul(self, n: int, a: Element) -> Element:
         return tuple((n * x) % self.pN for x in a)
@@ -399,6 +424,59 @@ class UnramWittCarrier:
             a = self.sub(a, self.scalar_mul(scale, self.teichmuller(digit)))
             coords.append(self.residue.pow(digit, self.p ** (i % self.m)))
         return tuple(coords)
+
+
+class _Packing:
+    """Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) for
+    one carrier at one slot width w: coefficients (c_0, c_1, ...) are the
+    integer sum_t c_t 2^(w t), so a product of two carrier elements is one
+    integer product, whose slot t is sum_(i+j=t) a_i b_j.
+
+    The invariant is that every slot of every packed integer formed lies
+    in [0, 2^w).  Then a sum or product of packed integers is the slotwise
+    sum or convolution, with nothing carried from a slot into the next,
+    and the slots read back exactly.  :meth:`UnramWittCarrier.packing`
+    picks w from a bound on the slots its caller forms and on what
+    :meth:`reduce` adds to them."""
+
+    def __init__(self, carrier: UnramWittCarrier, width: int):
+        m, pN = carrier.m, carrier.pN
+        self.pN, self.width = pN, width
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(range(0, m * width, width))
+        self.low_bits = m * width
+        self.low_mask = (1 << self.low_bits) - 1
+        self.x_to_m = self.join([(-c) % pN for c in carrier.modulus_low])  # x^m mod (p^N, F)
+
+    def join(self, coeffs: Sequence[int]) -> int:
+        """sum_t coeffs[t] 2^(w t), for coefficients already in [0, 2^w)."""
+        packed, width = 0, self.width
+        for c in reversed(coeffs):
+            packed = packed << width | c
+        return packed
+
+    def pack(self, a: Sequence[int]) -> int:
+        """a packed, each coefficient read mod p^N first."""
+        packed, width, pN = 0, self.width, self.pN
+        for c in reversed(a):
+            packed = packed << width | c % pN
+        return packed
+
+    def reduce(self, packed: int) -> List[int]:
+        """The coefficients mod (p^N, F) of a packed polynomial of degree
+        at most 2m - 2.  While a part h x^m is left at and above x^m, it is
+        replaced by (h mod p^N)(x^m mod F), one packed product; then the low
+        m slots are read mod p^N.  A round lowers the degree of h, at first
+        at most m - 2, by m - deg(F - x^m) >= 1, so there are at most
+        m - 1 rounds, and each adds to a slot at most (p^N - 1)^2 per
+        nonzero digit of F."""
+        pN, mask, width, low_mask, low_bits = self.pN, self.mask, self.width, self.low_mask, self.low_bits
+        low, high = packed & low_mask, packed >> low_bits
+        while high:
+            slots = self.shifts[:-(-high.bit_length() // width)]
+            high = self.join([(high >> shift & mask) % pN for shift in slots]) * self.x_to_m
+            low, high = low + (high & low_mask), high >> low_bits
+        return [(low >> shift & mask) % pN for shift in self.shifts]
 
 
 class GFRing(UnramWittCarrier):
@@ -517,17 +595,11 @@ def _ghost_poly(nvars: int, offset: int, n: int, p: int) -> MPoly:
     return out
 
 
-_UNIVERSAL_CACHE: Dict[Tuple[int, int], Dict[str, List[MPoly]]] = {}
-
-
 def universal_polynomials(p: int, n: int) -> Dict[str, List[MPoly]]:
     """Sum, product, negation and Frobenius laws for W_n, solved over Q from
     the ghost recursion and verified integral: the reference the tests
-    compare the runtime routes against."""
-    key = (p, n)
-    cached = _UNIVERSAL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    compare the runtime routes against.  Nothing is cached: each call
+    solves the laws again."""
 
     def divide(poly: MPoly, m: int) -> MPoly:
         poly = poly.scale(Fraction(1, p ** m))
@@ -538,14 +610,12 @@ def universal_polynomials(p: int, n: int) -> Dict[str, List[MPoly]]:
     two, one = _PolyRing(2 * n), _PolyRing(n + 1)
     wx = [_ghost_poly(2 * n, 0, m, p) for m in range(n)]
     wy = [_ghost_poly(2 * n, n, m, p) for m in range(n)]
-    out = {
+    return {
         "sum": _solve(two, p, [a + b for a, b in zip(wx, wy)], divide),
         "prod": _solve(two, p, [a * b for a, b in zip(wx, wy)], divide),
         "neg": _solve(two, p, [a.scale(Fraction(-1)) for a in wx], divide),
         "frob": _solve(one, p, [_ghost_poly(n + 1, 0, m + 1, p) for m in range(n)], divide),
     }
-    _UNIVERSAL_CACHE[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------

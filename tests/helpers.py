@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import random
 import sys
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import log2
+
+from hypothesis import strategies as st
 
 from padicgl.bzclass import (
     Atom,
@@ -20,7 +23,7 @@ from padicgl.bzclass import (
 )
 from padicgl.common import power
 from padicgl.qexact import ExactScalar, GaussianRational, LocalFieldContext, _refuse_power, canonical_scalar_key
-from padicgl.wittring import _monic_polys, _poly_mod
+from padicgl.wittring import UnramWittCarrier, _monic_polys, _poly_mod, universal_polynomials
 
 
 def _scalar_doc(re, im=(0, 1), k=0):
@@ -375,19 +378,64 @@ def v_power_by_iteration(mod, k):
     return acc
 
 
+def schoolbook_dot(carrier, pairs):
+    """Reference carrier dot product: the m^2 coefficient products of each
+    pair added, then the sum reduced mod (p^N, F) one degree at a time from
+    the top (what UnramWittCarrier.dot did before it packed its factors)."""
+    m, pN = carrier.m, carrier.pN
+    prod = [0] * (2 * m - 1)
+    for a, b in pairs:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % pN
+        if c:
+            for j, low in enumerate(carrier.modulus_low, i - m):
+                prod[j] -= c * low
+    return tuple([c % pN for c in prod[:m]])
+
+
+@st.composite
+def carriers_under_any_modulus(draw):
+    """(Z/p^N)[x]/(F) with p^N up to 2^500, degree m from 1 to 40 and F any
+    monic digit polynomial: products and their reduction are exact for
+    every monic F, irreducible or not."""
+    p = draw(st.sampled_from((2, 3, 1000003)))
+    top = int(500 / log2(p))
+    precision = draw(st.sampled_from((1, top)) | st.integers(1, top))
+    m = draw(st.sampled_from((1, 40)) | st.integers(1, 40))
+    low = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    return UnramWittCarrier(p, m, precision, tuple(low) + (1,))
+
+
+def any_coefficients(carrier):
+    """Coefficient tuples of any integers: each 0, p^N - 1, negative or past
+    p^N, or all p^N - 1, the largest slots a packed product can form."""
+    pN, m = carrier.pN, carrier.m
+    coeff = st.sampled_from((0, pN - 1, pN, -1)) | st.integers(-pN * pN, pN * pN)
+    return st.just((pN - 1,) * m) | st.tuples(*[coeff] * m)
+
+
 def leibniz_det(carrier, mat):
     """Reference determinant over a carrier ring: the sum over all n!
     permutations (what the reduced norm used before the division-free
-    determinant)."""
+    determinant), multiplying by :func:`schoolbook_dot`."""
     n = len(mat)
     det = carrier.zero()
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = carrier.one()
         for i in range(n):
-            term = carrier.mul(term, mat[i][perm[i]])
+            term = schoolbook_dot(carrier, [(term, mat[i][perm[i]])])
         det = carrier.add(det, carrier.neg(term) if inversions % 2 else term)
     return det
+
+
+# The universal Witt laws, each (p, n) solved once per test session: the
+# library keeps no cache of them, since no runtime path reads them.
+universal_laws = functools.cache(universal_polynomials)
 
 
 def from_int_by_doubling(ctx, value):

@@ -694,6 +694,21 @@ def test_registry_with_an_integer_past_the_digit_limit(tmp_path, monkeypatch, ca
                                "detail": f"{registry}: an integer has more than 4300 digits"})
 
 
+@pytest.mark.parametrize("argv", [["lfactor", "--p", "3"], ["witt", "--ring", "Z"]])
+def test_payload_nested_past_the_recursion_limit(argv, monkeypatch, capsys):
+    code, doc = _main_in_process(argv, "[" * 100000, monkeypatch, capsys)
+    assert (code, doc) == (2, {"error": "parse", "detail": "payload: nested deeper than the recursion limit of "
+                                                            f"{sys.getrecursionlimit()}"})
+
+
+def test_registry_nested_past_the_recursion_limit(tmp_path, monkeypatch, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text("[" * 100000)
+    code, doc = _main_in_process(["rec", "--registry", str(registry)], ST2, monkeypatch, capsys)
+    assert (code, doc) == (1, {"error": "RegistryError", "detail": f"{registry}: nested deeper than the recursion "
+                                                                   f"limit of {sys.getrecursionlimit()}"})
+
+
 def test_witt_reads_an_integer_past_the_default_digit_limit(monkeypatch, capsys):
     # witt raises Python's int-to-str limit before it reads its payload
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"op":"neg","x":[1%s]}' % ("0" * 5000)))
@@ -804,6 +819,15 @@ ZMOD_2_1000 = f"Zmod:{2 ** 1000}"
     (["dieudonne", "--p", "2", "--f", "40", "--rank", "10", "--etale-height", "5"], "", None),
     (["dieudonne", "--p", "2", "--rank", "401", "--etale-height", "200"], "",
      "rank n f u = 401 passes the cap of 400"),
+    # skewfield norm: s^4 (f s log2 p^N)^1.5 is at most 3 * 10^10
+    (["skewfield", "--p", "2", "--r", "1", "--s", "24", "--precision", "83"], '{"op":"norm","x":[[1]]}', None),
+    (["skewfield", "--p", "2", "--r", "1", "--s", "24", "--precision", "84"], '{"op":"norm","x":[[1]]}',
+     "norm at s = 24 and f s log2(p^N) = 2016: s^4 (f s log2 p^N)^1.5 = 3.003e+10 passes the cap of 3e+10"),
+    (["skewfield", "--p", "7", "--r", "1", "--s", "12", "--precision", "379"], '{"op":"norm","x":[[1]]}', None),
+    (["skewfield", "--p", "7", "--r", "1", "--s", "12", "--precision", "380"], '{"op":"norm","x":[[1]]}',
+     "norm at s = 12 and f s log2(p^N) = 12802: s^4 (f s log2 p^N)^1.5 = 3.003e+10 passes the cap of 3e+10"),
+    (["skewfield", "--p", "7", "--r", "1", "--s", "12", "--precision", "380"], '{"op":"mul","x":[[1]],"y":[[1]]}',
+     None),
 ])
 def test_size_caps_just_below_and_just_above(argv, payload, answer, monkeypatch, capsys):
     if "--length" in argv:  # the witt vectors of the payload, zero-extended to the length

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicgl.cyclicalg import (
     CyclicAlgebra,
@@ -16,9 +18,11 @@ from padicgl.cyclicalg import (
     etale_inf_height,
     v_power_matrix,
 )
-from padicgl.wittring import GFRing, WittContext, frobenius
+from padicgl.wittring import GFRing, UnramWittCarrier, WittContext, frobenius
 
-from helpers import etale_height_by_iteration, leibniz_det, v_power_by_iteration
+from helpers import (
+    any_coefficients, carriers_under_any_modulus, etale_height_by_iteration, leibniz_det, v_power_by_iteration,
+)
 
 
 def rand_alg_elem(alg, rng):
@@ -245,6 +249,39 @@ def test_det_matches_leibniz(p, s):
             )
             for _ in range(s)
         )
+        assert _det(carrier, mat) == leibniz_det(carrier, mat)
+
+
+@st.composite
+def _det_case(draw):
+    carrier = draw(carriers_under_any_modulus())
+    n = draw(st.integers(1, 4))
+    element = any_coefficients(carrier)
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    return carrier, tuple(tuple(carrier.zero() if i in zero_rows else draw(element) for _ in range(n))
+                          for i in range(n))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_det_case())
+@example((UnramWittCarrier(2, 40, 500), (((2 ** 500 - 1,) * 40,) * 4,) * 4))
+def test_packed_det_matches_leibniz(case):
+    # the example puts every slot of every entry at p^N - 1
+    carrier, mat = case
+    assert _det(carrier, mat) == leibniz_det(carrier, mat)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("p,m,precision", [(2, 1, 1), (2, 2, 2), (3, 3, 2), (5, 2, 3), (2, 3, 64)])
+def test_packed_det_at_its_widest_slots(p, m, precision, dense):
+    # p^N - 1 everywhere but the diagonal, 1 there: the diagonal of mu(A) is
+    # then near n p^N in every slot, and the first products reach about
+    # 2 n m p^(2N), the slot bound the packing is chosen for; F as in
+    # test_packed_dot_at_its_widest_slots
+    carrier = UnramWittCarrier(p, m, precision, ((p - 1,) * m if dense else (1,) + (0,) * (m - 1)) + (1,))
+    top = (carrier.pN - 1,) * m
+    for n in range(1, 6):
+        mat = tuple(tuple(carrier.one() if i == j else top for j in range(n)) for i in range(n))
         assert _det(carrier, mat) == leibniz_det(carrier, mat)
 
 

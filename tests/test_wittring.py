@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicgl import wittring
@@ -20,13 +20,13 @@ from padicgl.wittring import (
     frobenius,
     ghost,
     ghost_inverse,
-    universal_polynomials,
     verschiebung,
     witt_polynomial,
 )
 
 from helpers import (
-    from_int_by_doubling, inverse_at_full_precision, teichmuller_by_iteration, trial_division_irreducible,
+    any_coefficients, carriers_under_any_modulus, from_int_by_doubling, inverse_at_full_precision,
+    schoolbook_dot, teichmuller_by_iteration, trial_division_irreducible, universal_laws,
 )
 
 QQ = RationalField()
@@ -93,7 +93,7 @@ def test_universal_matches_ghost_over_q():
     # the universal polynomials, which neither of them evaluates
     rng = random.Random(9)
     for p, n in ((2, 3), (2, 4), (3, 3)):
-        polys = universal_polynomials(p, n)
+        polys = universal_laws(p, n)
         fields = (F2, F4, F8) if p == 2 else (F9,)
         for ring in (QQ, ZZ, ModRing(4), ModRing(8), ModRing(9), ModRing(15), ModRing(12)) + fields:
             ctx = WittContext(ring, p, n)
@@ -133,7 +133,7 @@ def test_lift_route_matches_universal_laws(case):
     ring, p, n, x, y = case
     ctx = WittContext(ring, p, n)
     x, y = ctx.vector(x), ctx.vector(y)
-    polys = universal_polynomials(p, n)
+    polys = universal_laws(p, n)
 
     def law(name, values):
         return tuple(poly.evaluate(ring, values) for poly in polys[name])
@@ -159,6 +159,39 @@ def test_runtime_ops_never_reach_the_universal_laws(monkeypatch):
         for value in (x + y, x * y, -x, frobenius(x), verschiebung(x), ctx.from_int(-37)):
             assert len(value.coords) == 6
         assert len(ghost(x)) == 6
+
+
+@st.composite
+def _dot_case(draw):
+    carrier = draw(carriers_under_any_modulus())
+    count = draw(st.sampled_from((0, 40)) | st.integers(0, 40))
+    element = st.sampled_from(draw(st.lists(any_coefficients(carrier), min_size=1, max_size=4)))
+    return carrier, [(draw(element), draw(element)) for _ in range(count)]
+
+
+_WIDEST = UnramWittCarrier(2, 40, 500)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(_dot_case())
+@example((_WIDEST, [((2 ** 500 - 1,) * 40,) * 2] * 40))
+def test_packed_dot_matches_the_schoolbook_product(case):
+    # the example fills every slot of 40 products to its bound
+    carrier, pairs = case
+    assert carrier.dot(iter(pairs)) == schoolbook_dot(carrier, pairs)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("p,m,precision", [(2, 1, 1), (2, 2, 2), (3, 3, 2), (5, 2, 3), (2, 3, 64)])
+def test_packed_dot_at_its_widest_slots(p, m, precision, dense):
+    # every coefficient at p^N - 1, for 0 to 40 pairs: the largest slot,
+    # 40 m (p^N - 1)^2, passes many powers of 2; F has every digit p - 1
+    # (m - 1 reduction rounds) or is x^m + 1 (one round)
+    carrier = UnramWittCarrier(p, m, precision, ((p - 1,) * m if dense else (1,) + (0,) * (m - 1)) + (1,))
+    top = (carrier.pN - 1,) * m
+    for count in range(41):
+        pairs = [(top, top)] * count
+        assert carrier.dot(pairs) == schoolbook_dot(carrier, pairs)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
@@ -419,7 +452,7 @@ def test_frobenius_mixed_characteristic():
     for m, p, n in ((12, 2, 2), (12, 2, 4), (12, 3, 3), (10, 5, 3), (15, 3, 4)):
         ring, ctxZ = ModRing(m), WittContext(ZZ, p, n)
         ctx = WittContext(ring, p, n)
-        frob = universal_polynomials(p, n)["frob"]
+        frob = universal_laws(p, n)["frob"]
         for _ in range(20):
             a = ctxZ.vector([rng.randint(-20, 20) for _ in range(n)])
             x = ctx.vector(a.coords)
