@@ -59,7 +59,7 @@ def _witt_coord(ring, c, path):
         raise PayloadError(f"{path}: expected a number, got a boolean")
     if isinstance(c, list):
         c = digits(c, path)
-    elif isinstance(c, str):
+    elif isinstance(c, str) and isinstance(ring, RationalField):  # other rings quote the string
         try:
             c = Fraction(c)
         except (ValueError, ZeroDivisionError):
@@ -156,10 +156,9 @@ def _carrier_size(args, s: int) -> float:
 # over the carrier: about s^4 / 3 packed products of integers of about
 # 2 f s log2(p^N) bits, whose cost grows about as the 1.5th power of that
 # size (doubling it at s = 16, 20 and 24 multiplied the time by 2.2 to
-# 3.2).  So a norm needs f s <= NORM_DEGREE_CAP and is charged
-# s^4 (f s log2 p^N)^1.5, refused past NORM_COST_CAP, where a norm takes
-# about 2 s (s = 24, p^N of 2,000 bits / 24; s = 12, 12,800 bits / 12).
-NORM_DEGREE_CAP = 24
+# 3.2).  So a norm is charged s^4 (f s log2 p^N)^1.5, refused past
+# NORM_COST_CAP; the slowest accepted norms measured took 2.2-2.3 s
+# spawned on a 2-core x86-64 box (s = 40 at p = 2, N = 12 and p = 7, N = 4).
 NORM_COST_CAP = 3 * 10 ** 10
 # dieudonne: rank n over W(F_{q^u}) is rank n f u over W(F_p).
 DIEUDONNE_RANK_CAP = 400
@@ -168,8 +167,6 @@ DIEUDONNE_RANK_CAP = 400
 def run_skewfield(args):
     payload = read_payload(args.input)
     op = field(payload, "op", default=None)
-    if op == "norm" and args.f * args.s > NORM_DEGREE_CAP:
-        raise ValueError(f"norm at f s = {args.f * args.s} passes the cap of {NORM_DEGREE_CAP}")
     size = _carrier_size(args, args.s)
     cost = args.s ** 4 * max(size, 0) ** 1.5
     if op == "norm" and cost > NORM_COST_CAP:

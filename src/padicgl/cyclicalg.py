@@ -9,8 +9,10 @@ vectors via Teichmuller digits; :mod:`wittring` computes F_{p^r} Witt
 arithmetic through that isomorphism, and the test suite checks the result
 against the universal polynomials, which do not use it.  The Frobenius
 sigma_K is the unique automorphism inducing x -> x^q on the residue field:
-sigma_K(x) is the Newton root of F started at x^q (by Hensel's lemma the
-only root congruent to x^q), and sigma_K is verified to have exact order s.
+sigma_K(x) is the root of F congruent to x^q (unique by Hensel's lemma),
+reached by the Newton iteration that carries the inverse of F' along with
+the root from its residue-field value (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 9), and sigma_K is verified to have exact order s.
 
 Only unramified base fields are supported here (pi_K = p); the
 representation-theoretic modules never consume this restriction since they
@@ -58,12 +60,13 @@ class UnramifiedContext:
         def evaluate(terms, y):
             return carrier.dot((carrier.from_int(c), carrier.pow(y, i)) for i, c in terms)
 
+        # root and z = 1/F'(root) start exact mod p and double their
+        # accuracy each step, so (N - 1).bit_length() steps reach p^N
         root = carrier.pow(gen, self.q)
-        for _ in range(max(1, (self.precision - 1).bit_length() + 2)):
-            fy = evaluate(f_terms, root)
-            if carrier.is_zero(fy):
-                break
-            root = carrier.sub(root, carrier.mul(fy, carrier.inv_unit(evaluate(df_terms, root))))
+        z = carrier.residue.inv_unit(carrier.reduce_mod_p(evaluate(df_terms, root)))
+        for _ in range((self.precision - 1).bit_length()):
+            root = carrier.sub(root, carrier.mul(evaluate(f_terms, root), z))
+            z = carrier.mul(z, carrier.sub(carrier.from_int(2), carrier.mul(evaluate(df_terms, root), z)))
         if not carrier.is_zero(evaluate(f_terms, root)):
             raise ArithmeticError("Frobenius lift did not converge")
 
@@ -279,33 +282,32 @@ class DieudonneModule:
 
 
 def _entrywise_sigma(ctx: UnramifiedContext, mat: Matrix, power: int) -> Matrix:
+    if power % ctx.s == 0:
+        return mat
     return tuple(tuple(ctx.sigma(e, power) for e in row) for row in mat)
 
 
 def _mat_mul(ctx: UnramifiedContext, a: Matrix, b: Matrix) -> Matrix:
+    """a b: each entry is one carrier dot over its nonzero products, or the
+    carrier zero when it has none; the nonzero entries of each row of b are
+    listed once."""
     carrier = ctx.carrier
-    n = len(a)
-    out = [[carrier.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if carrier.is_zero(a[i][k]):
-                continue
-            for j in range(n):
-                if carrier.is_zero(b[k][j]):
-                    continue
-                out[i][j] = carrier.add(out[i][j], carrier.mul(a[i][k], b[k][j]))
-    return tuple(tuple(row) for row in out)
+    zero = carrier.zero()
+    b_rows = [[(j, e) for j, e in enumerate(row) if e != zero] for row in b]
+    out = []
+    for row in a:
+        terms = [[] for _ in b[0]]
+        for k, x in enumerate(row):
+            if x != zero:
+                for j, y in b_rows[k]:
+                    terms[j].append((x, y))
+        out.append(tuple(carrier.dot(t) if t else zero for t in terms))
+    return tuple(out)
 
 
 def _is_scalar_matrix(ctx: UnramifiedContext, mat: Matrix, scalar: int) -> bool:
-    carrier = ctx.carrier
-    target = carrier.from_int(scalar)
-    for i, row in enumerate(mat):
-        for j, e in enumerate(row):
-            want = target if i == j else carrier.zero()
-            if e != want:
-                return False
-    return True
+    target, zero = ctx.carrier.from_int(scalar), ctx.carrier.zero()
+    return all(e == (target if i == j else zero) for i, row in enumerate(mat) for j, e in enumerate(row))
 
 
 def dieudonne_standard(n: int, h: int, ctx: UnramifiedContext) -> DieudonneModule:

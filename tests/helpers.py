@@ -474,3 +474,44 @@ def inverse_at_full_precision(carrier, a):
     for _ in range(max(1, (carrier.precision - 1).bit_length() + 1)):
         z = carrier.mul(z, carrier.sub(two, carrier.mul(a, z)))
     return z
+
+
+def mat_mul_by_triple_loop(ctx, a, b):
+    """Reference matrix product over the carrier: for every (i, k, j) with
+    a[i][k] and b[k][j] nonzero, one reduced product added to the entry
+    (what cyclicalg._mat_mul did before it formed each entry as one dot)."""
+    carrier = ctx.carrier
+    out = [[carrier.zero()] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if carrier.is_zero(x):
+                continue
+            for j, y in enumerate(b[k]):
+                if not carrier.is_zero(y):
+                    out[i][j] = carrier.add(out[i][j], carrier.mul(x, y))
+    return tuple(tuple(row) for row in out)
+
+
+def frobenius_root_by_full_inversions(carrier, q):
+    """Reference sigma_K(x): Newton's iteration for a root of F from x^q,
+    with a full inversion of F'(root) in every step, up to
+    (N - 1).bit_length() + 2 steps and an exit once F(root) = 0 (what
+    UnramifiedContext did before it carried the inverse along)."""
+    coeffs = carrier.modulus_low + (1,)
+
+    def evaluate(poly, y):
+        acc = carrier.zero()
+        for c in reversed(poly):  # Horner
+            acc = carrier.add(carrier.mul(acc, y), carrier.from_int(c))
+        return acc
+
+    derivative = [i * c for i, c in enumerate(coeffs)][1:]
+    root = carrier.pow(carrier.gen(), q)
+    for _ in range(max(1, (carrier.precision - 1).bit_length() + 2)):
+        fy = evaluate(coeffs, root)
+        if carrier.is_zero(fy):
+            break
+        root = carrier.sub(root, carrier.mul(fy, carrier.inv_unit(evaluate(derivative, root))))
+    if not carrier.is_zero(evaluate(coeffs, root)):
+        raise ArithmeticError("Frobenius lift did not converge")
+    return root

@@ -21,7 +21,8 @@ from padicgl.cyclicalg import (
 from padicgl.wittring import GFRing, UnramWittCarrier, WittContext, frobenius
 
 from helpers import (
-    any_coefficients, carriers_under_any_modulus, etale_height_by_iteration, leibniz_det, v_power_by_iteration,
+    any_coefficients, carriers_under_any_modulus, etale_height_by_iteration, frobenius_root_by_full_inversions,
+    leibniz_det, mat_mul_by_triple_loop, v_power_by_iteration,
 )
 
 
@@ -402,8 +403,54 @@ def test_dieudonne_lie_algebra_rank():
         assert rank == n - 1
 
 
+@st.composite
+def _mat_mul_case(draw):
+    # entries anything, p times anything (never a unit) or zero; some rows
+    # of a and columns of b all zero, and sometimes every entry
+    ctx = UnramifiedContext(draw(st.sampled_from((2, 3))), 1, draw(st.sampled_from((1, 2, 7))),
+                            draw(st.integers(1, 3)))
+    carrier, n = ctx.carrier, draw(st.integers(1, 6))
+    coeffs = st.lists(st.integers(0, carrier.pN - 1), min_size=carrier.m, max_size=carrier.m)
+    entry = st.one_of(coeffs.map(carrier.element), coeffs.map(lambda c: carrier.scalar_mul(ctx.p, c)),
+                      st.just(carrier.zero()))
+    zero_rows, zero_cols = (draw(st.sets(st.integers(0, n - 1), max_size=n)) for _ in "ab")
+    a = tuple(tuple(carrier.zero() if i in zero_rows else draw(entry) for _ in range(n)) for i in range(n))
+    b = tuple(tuple(carrier.zero() if j in zero_cols else draw(entry) for j in range(n)) for _ in range(n))
+    return ctx, a, b
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_mat_mul_case())
+def test_mat_mul_matches_the_triple_loop(case):
+    ctx, a, b = case
+    assert _mat_mul(ctx, a, b) == mat_mul_by_triple_loop(ctx, a, b)
+
+
 # ---------------------------------------------------------------------------
 # cross-validation against the coordinate Witt vectors
+
+
+@st.composite
+def _lift_case(draw):
+    degree = draw(st.sampled_from((1, 2, 7)))
+    f = draw(st.sampled_from([f for f in (1, 2, 7) if degree % f == 0]))
+    return draw(st.sampled_from((2, 3, 5, 101))), f, degree // f, draw(st.sampled_from((1, 2, 3, 25)))
+
+
+def _assert_sigma_of_x_is_the_reference_root(p, f, s, n):
+    ctx = UnramifiedContext(p, f, s, n)
+    carrier = ctx.carrier
+    assert ctx.sigma(carrier.gen()) == frobenius_root_by_full_inversions(carrier, ctx.q)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_lift_case())
+def test_sigma_of_x_is_the_newton_root_by_full_inversions(case):
+    _assert_sigma_of_x_is_the_reference_root(*case)
+
+
+def test_sigma_of_x_at_the_large_p_carrier_edge():
+    _assert_sigma_of_x_is_the_reference_root(1000003, 1, 40, 25)
 
 
 @pytest.mark.parametrize("p,f,s,n", [(2, 1, 3, 4), (3, 2, 2, 3), (2, 3, 2, 4), (5, 2, 3, 3), (2, 2, 4, 5), (3, 3, 2, 2)])
