@@ -21,12 +21,21 @@ for data built through :func:`unramified_atom`.  Labels produced by
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .common import PayloadError, array, child_path, fraction_from_json, integer, record, string
-from .common import field as json_field  # field is dataclasses.field here
+from .common import (
+    PayloadError,
+    Value,
+    array,
+    child_path,
+    field,
+    fraction_from_json,
+    integer,
+    record,
+    setfield,
+    string,
+)
 from .qexact import (
     ExactScalar,
     GaussianRational,
@@ -48,39 +57,46 @@ class RegistryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InertialLabel:
-    name: str
-    kind: str
-    degree: int
-    torsion: int
-    conductor: int
-    dual_name: str
-    omega: ExactScalar
-    unit_class: str
-    _dual: "InertialLabel" = field(default=None, compare=False, repr=False)
+class InertialLabel(Value):
+    """A supercuspidal up to unramified twist (module docstring).  _dual,
+    the label of the contragredient, is wired once the partner exists and
+    is not a field."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise RegistryError(f"unknown label kind {self.kind!r}")
-        if self.degree < 1:
-            raise RegistryError(f"label {self.name}: degree must be positive")
-        if self.torsion < 1 or self.degree % self.torsion != 0:
+    __slots__ = ("name", "kind", "degree", "torsion", "conductor", "dual_name", "omega", "unit_class",
+                 "_dual")
+
+    def __init__(self, name: str, kind: str, degree: int, torsion: int, conductor: int,
+                 dual_name: str, omega: ExactScalar, unit_class: str,
+                 _dual: Optional["InertialLabel"] = None):
+        if kind not in _KINDS:
+            raise RegistryError(f"unknown label kind {kind!r}")
+        if degree < 1:
+            raise RegistryError(f"label {name}: degree must be positive")
+        if torsion < 1 or degree % torsion != 0:
             raise RegistryError(
-                f"label {self.name}: torsion {self.torsion} does not divide degree {self.degree}"
+                f"label {name}: torsion {torsion} does not divide degree {degree}"
             )
-        if self.conductor < 0:
-            raise RegistryError(f"label {self.name}: conductor must be non-negative")
-        if self.kind != KIND_SYMBOLIC and self.degree != 1:
-            raise RegistryError(f"label {self.name}: character labels have degree 1")
-        if self.kind == KIND_UNRAMIFIED and (self.torsion != 1 or self.conductor != 0):
+        if conductor < 0:
+            raise RegistryError(f"label {name}: conductor must be non-negative")
+        if kind != KIND_SYMBOLIC and degree != 1:
+            raise RegistryError(f"label {name}: character labels have degree 1")
+        if kind == KIND_UNRAMIFIED and (torsion != 1 or conductor != 0):
             raise RegistryError(
-                f"label {self.name}: unramified characters have torsion 1 and conductor 0"
+                f"label {name}: unramified characters have torsion 1 and conductor 0"
             )
-        if self.kind == KIND_RAMIFIED and self.conductor < 1:
-            raise RegistryError(f"label {self.name}: ramified characters have conductor >= 1")
-        if self.omega.is_zero():
-            raise RegistryError(f"label {self.name}: omega at the uniformizer must be nonzero")
+        if kind == KIND_RAMIFIED and conductor < 1:
+            raise RegistryError(f"label {name}: ramified characters have conductor >= 1")
+        if omega.is_zero():
+            raise RegistryError(f"label {name}: omega at the uniformizer must be nonzero")
+        setfield(self, "name", name)
+        setfield(self, "kind", kind)
+        setfield(self, "degree", degree)
+        setfield(self, "torsion", torsion)
+        setfield(self, "conductor", conductor)
+        setfield(self, "dual_name", dual_name)
+        setfield(self, "omega", omega)
+        setfield(self, "unit_class", unit_class)
+        setfield(self, "_dual", _dual)
 
     @property
     def dual(self) -> "InertialLabel":
@@ -93,8 +109,8 @@ class InertialLabel:
 
 
 def _wire_duals(a: InertialLabel, b: InertialLabel):
-    object.__setattr__(a, "_dual", b)
-    object.__setattr__(b, "_dual", a)
+    setfield(a, "_dual", b)
+    setfield(b, "_dual", a)
 
 
 _UR_NAME = _re.compile(r"^ur\((-?\d+(?:/\d+)?),(-?\d+(?:/\d+)?),(-?\d+)\)$")
@@ -130,15 +146,14 @@ def parse_unramified_name(name: str, ctx: LocalFieldContext) -> Optional[Inertia
     return unramified_label(ExactScalar(c, int(m.group(3))), ctx)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Value):
     """label tensor |det|^x; x is a half-integer."""
 
-    label: InertialLabel
-    x: Fraction = Fraction(0)
+    __slots__ = ("label", "x")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _half_integer(self.x, "twist"))
+    def __init__(self, label: InertialLabel, x: Fraction = Fraction(0)):
+        setfield(self, "label", label)
+        setfield(self, "x", _half_integer(x, "twist"))
 
     @property
     def degree(self) -> int:
@@ -177,16 +192,16 @@ def unramified_atom(value: ExactScalar, ctx: LocalFieldContext) -> Atom:
     return Atom(unramified_label(base_value, ctx), x)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Value):
     """Delta(pi, m) = [pi, pi(1), ..., pi(m-1)]."""
 
-    start: Atom
-    m: int
+    __slots__ = ("start", "m")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, start: Atom, m: int):
+        if m < 1:
             raise ValueError("segment length m must be >= 1")
+        setfield(self, "start", start)
+        setfield(self, "m", m)
 
     @property
     def degree(self) -> int:
@@ -214,18 +229,18 @@ FORM_Q = "Q"
 FORM_Z = "Z"
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Value):
     """A multiset of segments with a Q/Z form tag; order is irrelevant."""
 
-    form: str
-    segments: Tuple[Segment, ...]
+    __slots__ = ("form", "segments")
 
-    def __post_init__(self):
-        if self.form not in (FORM_Q, FORM_Z):
-            raise ValueError(f"form must be 'Q' or 'Z', got {self.form!r}")
-        if not self.segments:
+    def __init__(self, form: str, segments: Tuple[Segment, ...]):
+        if form not in (FORM_Q, FORM_Z):
+            raise ValueError(f"form must be 'Q' or 'Z', got {form!r}")
+        if not segments:
             raise ValueError("classification data needs at least one segment")
+        setfield(self, "form", form)
+        setfield(self, "segments", segments)
 
     @property
     def degree(self) -> int:
@@ -245,14 +260,14 @@ class ClassData:
             raise ValueError(f"{op} is defined on Q-form data; apply involution_t first")
 
 
-@dataclass(frozen=True)
-class CentralCharData:
-    unit_classes: Tuple[str, ...]
-    value_at_uniformizer: ExactScalar
+class CentralCharData(Value):
+    __slots__ = ("unit_classes", "value_at_uniformizer")
 
-    def __post_init__(self):
-        if self.value_at_uniformizer.is_zero():
+    def __init__(self, unit_classes: Tuple[str, ...], value_at_uniformizer: ExactScalar):
+        if value_at_uniformizer.is_zero():
             raise ValueError("central character value must be nonzero")
+        setfield(self, "unit_classes", unit_classes)
+        setfield(self, "value_at_uniformizer", value_at_uniformizer)
 
 
 def dualize(x):
@@ -419,7 +434,7 @@ class LabelRegistry:
                     raise RegistryError(
                         f"label {lab.name}: dual {partner.name} differs in {field_name}"
                     )
-            object.__setattr__(lab, "_dual", partner)
+            setfield(lab, "_dual", partner)
         for lab in self._labels.values():
             if lab.kind == KIND_SYMBOLIC and not norm_is_one(lab.omega, ctx):
                 raise RegistryError(
@@ -468,12 +483,12 @@ def scalar_from_json(doc, path: str = "") -> ExactScalar:
 
 def _label_from_json(rec, path: str) -> InertialLabel:
     def read(key, reader, *default):
-        return reader(json_field(rec, key, path, *default), child_path(path, key))
+        return reader(field(rec, key, path, *default), child_path(path, key))
 
     name = read("name", string)
     return InertialLabel(
         name=name,
-        kind=json_field(rec, "kind", path),
+        kind=field(rec, "kind", path),
         degree=read("degree", integer),
         torsion=read("torsion", integer, 1),
         conductor=read("conductor", integer, 0),
@@ -484,7 +499,7 @@ def _label_from_json(rec, path: str) -> InertialLabel:
 
 
 def _product_from_json(rec, path: str) -> Tuple[Tuple[str, str], str]:
-    left, right, result = (string(json_field(rec, key, path), child_path(path, key))
+    left, right, result = (string(field(rec, key, path), child_path(path, key))
                            for key in ("left", "right", "result"))
     return (left, right), result
 

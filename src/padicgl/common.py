@@ -1,6 +1,6 @@
-"""What both halves of padicgl share, importing neither: a primality test,
-the one square-and-multiply power, Python's default int-to-str limit, and
-the JSON payload readers.
+"""What both halves of padicgl share, importing neither: the immutable
+base of the value classes, a primality test, the one square-and-multiply
+power, Python's default int-to-str limit, and the JSON payload readers.
 
 The Langlands half (``qexact`` ... ``jsonio``) and the p-adic half
 (``wittring``, ``cyclicalg``) meet only here, so a CLI subcommand imports
@@ -12,7 +12,49 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from typing import List, Tuple
+
+
+class Value:
+    """Base of the immutable value classes (atoms, scalars, contexts, ...).
+
+    A subclass lists its attributes in ``__slots__`` and sets them in its
+    own ``__init__`` with :data:`setfield`; after that, assigning or
+    deleting any attribute raises AttributeError.  Its fields are the slots
+    whose names do not start with "_", in slot order: ==, hash and repr
+    read those alone, so a slot such as ``_dual`` or a cache stays out.
+    This is what a frozen dataclass provides, without importing
+    ``dataclasses`` (and with it ``inspect``) or generating methods at
+    import, which every CLI call would pay."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__qualname__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# the one way a Value's __init__ sets its slots: setfield(self, "name", value)
+setfield = object.__setattr__
 
 
 # Python converts an integer of at most this many digits to decimal by

@@ -21,13 +21,12 @@ only read (q, d, n_psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Sequence, Tuple
 
-from .common import power
+from .common import Value, power, setfield
 from .wittring import Element, UnramWittCarrier
 
 Matrix = Tuple[Tuple[Element, ...], ...]
@@ -37,20 +36,20 @@ class PrecisionError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class UnramifiedContext:
+class UnramifiedContext(Value):
     """W_N(F_{q^s}) with q = p^f, together with sigma_K of exact order s."""
 
-    p: int
-    f: int
-    s: int
-    precision: int
+    __slots__ = ("p", "f", "s", "precision", "_carrier", "_sigma_matrices")
 
-    def __post_init__(self):
-        if self.f < 1 or self.s < 1:
+    def __init__(self, p: int, f: int, s: int, precision: int):
+        if f < 1 or s < 1:
             raise ValueError("f and s must be >= 1")
-        carrier = UnramWittCarrier(self.p, self.f * self.s, self.precision)
-        object.__setattr__(self, "_carrier", carrier)
+        setfield(self, "p", p)
+        setfield(self, "f", f)
+        setfield(self, "s", s)
+        setfield(self, "precision", precision)
+        carrier = UnramWittCarrier(p, f * s, precision)
+        setfield(self, "_carrier", carrier)
         gen, m = carrier.gen(), carrier.m
         # sigma_K(x): Newton from x^q to a root of F; one evaluator serves F
         # and F', over their nonzero terms
@@ -79,11 +78,11 @@ class UnramifiedContext:
             return tuple(zip(*powers))
 
         # imgs[j] = sigma_K^j(x), by the matrix of sigma_K (index 0 is unread)
-        object.__setattr__(self, "_sigma_matrices", (None, matrix(root)))
+        setfield(self, "_sigma_matrices", (None, matrix(root)))
         imgs = [gen, root]
         while len(imgs) <= self.s:
             imgs.append(self.sigma(imgs[-1]))
-        object.__setattr__(self, "_sigma_matrices", self._sigma_matrices + tuple(map(matrix, imgs[2:self.s])))
+        setfield(self, "_sigma_matrices", self._sigma_matrices + tuple(map(matrix, imgs[2:self.s])))
         if imgs[self.s] != gen:  # imgs[1] = root when s = 1
             raise ArithmeticError("sigma_K must be trivial when s = 1" if self.s == 1
                                   else "sigma_K does not have order s on the carrier")
@@ -111,11 +110,13 @@ class UnramifiedContext:
 # cyclic algebras D = K_s[Pi], Pi^s = p^r, Pi a = sigma_K(a) Pi
 
 
-@dataclass(frozen=True)
-class CyclicAlgebraElement:
-    r: int
-    s: int
-    coeffs: Tuple[Element, ...]  # coefficients of 1, Pi, ..., Pi^(s-1)
+class CyclicAlgebraElement(Value):
+    __slots__ = ("r", "s", "coeffs")
+
+    def __init__(self, r: int, s: int, coeffs: Tuple[Element, ...]):
+        setfield(self, "r", r)
+        setfield(self, "s", s)
+        setfield(self, "coeffs", coeffs)  # coefficients of 1, Pi, ..., Pi^(s-1)
 
 
 class CyclicAlgebra:
@@ -269,16 +270,18 @@ def brauer_invariant(r: int, s: int, ctx: UnramifiedContext) -> Fraction:
 # Dieudonne modules
 
 
-@dataclass(frozen=True)
-class DieudonneModule:
+class DieudonneModule(Value):
     """(M, F, V) of rank n over the carrier W_N(F_{q^u}); V is
     sigma_K^(-1)-semilinear with matrix A_V (columns are V of the basis),
     F is sigma_K-semilinear with F V = V F = p."""
 
-    ctx: UnramifiedContext
-    n: int
-    v_matrix: Matrix
-    f_matrix: Matrix
+    __slots__ = ("ctx", "n", "v_matrix", "f_matrix")
+
+    def __init__(self, ctx: UnramifiedContext, n: int, v_matrix: Matrix, f_matrix: Matrix):
+        setfield(self, "ctx", ctx)
+        setfield(self, "n", n)
+        setfield(self, "v_matrix", v_matrix)
+        setfield(self, "f_matrix", f_matrix)
 
 
 def _entrywise_sigma(ctx: UnramifiedContext, mat: Matrix, power: int) -> Matrix:

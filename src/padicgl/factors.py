@@ -14,7 +14,6 @@ Weil-Deligne definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -25,6 +24,7 @@ from .bzclass import (
     Segment,
     unramified_atom,
 )
+from .common import Value, setfield
 from .qexact import (
     ExactScalar,
     LFactor,
@@ -35,15 +35,19 @@ from .qexact import (
 from .weildeligne import WDBlock, WDRep, clebsch_gordan, wd_dual
 
 
-@dataclass(frozen=True)
-class EpsValue:
+class EpsValue(Value):
     """(product of units g^e) * mono * q^(-s*sSlope) * num/den."""
 
-    units: Tuple[Tuple[str, int], ...] = ()
-    mono: ExactScalar = ExactScalar.one()
-    s_slope: Fraction = Fraction(0)
-    num: LFactor = LFactor.one()
-    den: LFactor = LFactor.one()
+    __slots__ = ("units", "mono", "s_slope", "num", "den")
+
+    def __init__(self, units: Tuple[Tuple[str, int], ...] = (), mono: ExactScalar = ExactScalar.one(),
+                 s_slope: Fraction = Fraction(0), num: LFactor = LFactor.one(),
+                 den: LFactor = LFactor.one()):
+        setfield(self, "units", units)
+        setfield(self, "mono", mono)
+        setfield(self, "s_slope", s_slope)
+        setfield(self, "num", num)
+        setfield(self, "den", den)
 
     @staticmethod
     def one() -> "EpsValue":

@@ -24,13 +24,12 @@ is refused before it is formed, so no input makes the arithmetic run away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, log2
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .common import INT_DIGITS_LIMIT, is_prime, power
+from .common import INT_DIGITS_LIMIT, Value, is_prime, power, setfield
 
 FractionLike = Union[int, Fraction]
 
@@ -209,24 +208,24 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
 QI_ONE = GaussianRational.of(1)
 
 
-@dataclass(frozen=True)
-class LocalFieldContext:
+class LocalFieldContext(Value):
     """The numeric data of the base field: q = p^f, the valuation d of the
     absolute different, and the exponent n(psi) of the additive character."""
 
-    p: int
-    f: int
-    d: int = 0
-    n_psi: int = 0
+    __slots__ = ("p", "f", "d", "n_psi")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.f < 1:
+    def __init__(self, p: int, f: int, d: int = 0, n_psi: int = 0):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if f < 1:
             raise ValueError("f must be a positive integer")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("d must be non-negative")
-        _refuse_power(log2(self.p), self.f, f"q = {self.p}")
+        _refuse_power(log2(p), f, f"q = {p}")
+        setfield(self, "p", p)
+        setfield(self, "f", f)
+        setfield(self, "d", d)
+        setfield(self, "n_psi", n_psi)
 
     @property
     def q(self) -> int:
@@ -247,12 +246,14 @@ class LocalFieldContext:
         return Fraction(1, self.q ** (-k))
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(Value):
     """c * q^(k/2) with c a Gaussian rational.  Non-canonical by design."""
 
-    c: GaussianRational
-    k: int = 0
+    __slots__ = ("c", "k")
+
+    def __init__(self, c: GaussianRational, k: int = 0):
+        setfield(self, "c", c)
+        setfield(self, "k", k)
 
     @staticmethod
     def of(re: FractionLike, im: FractionLike = 0, k: int = 0) -> "ExactScalar":
@@ -391,22 +392,22 @@ def scalars_equal(x: ExactScalar, y: ExactScalar, ctx: LocalFieldContext) -> boo
     return equals_one(x / y, ctx)
 
 
-@dataclass(frozen=True)
-class LFactor:
+class LFactor(Value):
     """A product of inverse factors (1 - a T^t)^(-1) with T = q^(-s).
 
     The empty product denotes the constant function 1.  Multisets are kept
     as stored; canonical order is only imposed when a context is available.
     """
 
-    factors: Tuple[Tuple[ExactScalar, int], ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for a, t in self.factors:
+    def __init__(self, factors: Tuple[Tuple[ExactScalar, int], ...] = ()):
+        for a, t in factors:
             if a.is_zero():
                 raise ValueError("L-factor coefficient must be nonzero")
             if t < 1:
                 raise ValueError("L-factor exponent t must be >= 1")
+        setfield(self, "factors", factors)
 
     @staticmethod
     def one() -> "LFactor":

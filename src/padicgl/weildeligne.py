@@ -20,7 +20,6 @@ the Clebsch-Gordan expansion of Sp(a) tensor Sp(b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from .bzclass import (
     RegistryError,
     unramified_atom,
 )
+from .common import Value, setfield
 from .qexact import (
     ExactScalar,
     LFactor,
@@ -41,14 +41,14 @@ from .qexact import (
 )
 
 
-@dataclass(frozen=True)
-class WDBlock:
-    atom: Atom
-    m: int
+class WDBlock(Value):
+    __slots__ = ("atom", "m")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, atom: Atom, m: int):
+        if m < 1:
             raise ValueError("Sp length m must be >= 1")
+        setfield(self, "atom", atom)
+        setfield(self, "m", m)
 
     @property
     def dimension(self) -> int:
@@ -58,13 +58,13 @@ class WDBlock:
         return (self.atom.label.name, self.atom.x, self.m)
 
 
-@dataclass(frozen=True)
-class WDRep:
-    blocks: Tuple[WDBlock, ...]
+class WDRep(Value):
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: Tuple[WDBlock, ...]):
+        if not blocks:
             raise ValueError("a Weil-Deligne representation needs at least one block")
+        setfield(self, "blocks", blocks)
 
     @property
     def dimension(self) -> int:
@@ -173,35 +173,35 @@ def clebsch_gordan(m1: int, m2: int) -> List[Tuple[int, int]]:
 # qexact.LFactor.of: the oracle builds thousands of them per second.
 
 
-@dataclass(frozen=True)
-class UnramMatrixRep:
+class UnramMatrixRep(Value):
     """Explicit matrices: the geometric Frobenius Phi, stored as its diagonal
     of exact scalars, and an integer nilpotent N, satisfying
     Phi N = q^(-1) N Phi.  The diagonal is made canonical on construction,
     so equal eigenvalues are equal, hashable data."""
 
-    ctx: LocalFieldContext
-    frobenius: Tuple[ExactScalar, ...]
-    nilpotent: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("ctx", "frobenius", "nilpotent")
 
     @property
     def dimension(self) -> int:
         return len(self.frobenius)
 
-    def __post_init__(self):
-        diag = tuple([canonical_scalar(d, self.ctx) for d in self.frobenius])
-        object.__setattr__(self, "frobenius", diag)
+    def __init__(self, ctx: LocalFieldContext, frobenius: Tuple[ExactScalar, ...],
+                 nilpotent: Tuple[Tuple[int, ...], ...]):
+        diag = tuple([canonical_scalar(d, ctx) for d in frobenius])
         n = len(diag)
-        if len(self.nilpotent) != n or any(len(row) != n for row in self.nilpotent):
+        if len(nilpotent) != n or any(len(row) != n for row in nilpotent):
             raise ValueError("matrix dimensions disagree")
         qinv = ExactScalar.q_power(-1)
         # (Phi N - q^(-1) N Phi)_ij = N_ij (d_i - q^(-1) d_j) for Phi = diag(d)
-        for i, row in enumerate(self.nilpotent):
+        for i, row in enumerate(nilpotent):
             for j, entry in enumerate(row):
-                if entry and diag[i] != canonical_scalar(qinv * diag[j], self.ctx):
+                if entry and diag[i] != canonical_scalar(qinv * diag[j], ctx):
                     raise ValueError(
                         f"matrices violate the Weil-Deligne relation at N[{i}][{j}]"
                     )
+        setfield(self, "ctx", ctx)
+        setfield(self, "frobenius", diag)
+        setfield(self, "nilpotent", nilpotent)
 
 
 def explicit_unramified(rho: WDRep, ctx: LocalFieldContext) -> UnramMatrixRep:

@@ -48,12 +48,11 @@ exact at full length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log2
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .common import is_prime, power
+from .common import Value, is_prime, power, setfield
 
 Element = Tuple[int, ...]
 
@@ -662,20 +661,20 @@ def _solve(ring, p: int, components: Sequence, divide) -> List:
     return out
 
 
-@dataclass(frozen=True)
-class WittContext:
-    ring: object
-    p: int
-    n: int
+class WittContext(Value):
+    """W_n over ring at the prime p, with the route of its ring laws: the
+    integral lift ring _lift, or the carrier _bridge over F_q."""
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1:
+    __slots__ = ("ring", "p", "n", "_lift", "_bridge")
+
+    def __init__(self, ring, p: int, n: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n < 1:
             raise ValueError("truncation length must be >= 1")
         # the route of the ring laws (module docstring), refused past its
         # size cap before any work
-        ring, p, n, lift, bridge = self.ring, self.p, self.n, None, None
+        lift, bridge = None, None
         if isinstance(ring, _NumberRing):
             _refuse_length(n, p, "p^(n-1)", (n - 1) * log2(p))
             lift = IntegerRing()
@@ -687,8 +686,11 @@ class WittContext:
             bridge = UnramWittCarrier(p, ring.m, n, ring.modulus_fp)
         else:
             raise ValueError(f"no Witt vector arithmetic over {getattr(ring, 'name', ring)} at p = {p}")
-        object.__setattr__(self, "_lift", lift)
-        object.__setattr__(self, "_bridge", bridge)
+        setfield(self, "ring", ring)
+        setfield(self, "p", p)
+        setfield(self, "n", n)
+        setfield(self, "_lift", lift)
+        setfield(self, "_bridge", bridge)
 
     def vector(self, coords: Sequence) -> "WittVector":
         coords = tuple(self.ring.coerce(c) for c in coords)
@@ -744,10 +746,12 @@ class WittContext:
         return quotient
 
 
-@dataclass(frozen=True)
-class WittVector:
-    ctx: WittContext
-    coords: Tuple
+class WittVector(Value):
+    __slots__ = ("ctx", "coords")
+
+    def __init__(self, ctx: WittContext, coords: Tuple):
+        setfield(self, "ctx", ctx)
+        setfield(self, "coords", coords)
 
     def _binary(self, other: "WittVector", law: str) -> "WittVector":
         if other.ctx is not self.ctx and other.ctx != self.ctx:

@@ -3,8 +3,10 @@
     python3 tests/data/cap_edges.py PARENT_SRC CHANGE_SRC [--runs 3] [--match TEXT]
 
 A cap edge is a CLI call at or just past one of the size caps (the carrier
-degree and bits, the norm charge, the Witt length, the Dieudonne rank):
-the slowest accepted calls found so far, and the refusals next to them.
+degree and bits, the norm charge, the Witt length, the Dieudonne rank, the
+power cap on q) or at the slowest modulus search: the slowest accepted
+calls found so far, and the refusals next to them.  One plain call, an
+Sp(3) L-factor, records each tree's spawn floor.
 Each call is spawned as ``python -m padicgl.cli ARGV`` with PYTHONPATH at
 the tree's ``src`` and the payload on stdin, --runs times per tree,
 alternating which tree runs first (even runs PARENT_SRC first).  The
@@ -67,6 +69,11 @@ def algebra(op, s, m, p, e, *seeds):
             f"seeds {', '.join(map(str, seeds))}", json.dumps(doc))
 
 
+def steinberg(m):
+    """lfactor's payload for Sp(m) over the trivial character."""
+    return literal(json.dumps({"blocks": [{"label": "1", "x": [0, 1], "m": m}]}))
+
+
 def skewfield(p, s, precision=None, f=None):
     argv = ["skewfield", "--p", str(p)] + (["--f", str(f)] if f else []) + ["--r", "1", "--s", str(s)]
     return argv + (["--precision", str(precision)] if precision else [])
@@ -108,6 +115,14 @@ CALLS = [
     (skewfield(3, 36, 11), algebra("norm", 36, 36, 3, 11, 1804)),
     (skewfield(2, 28, 47), algebra("norm", 28, 28, 2, 47, 1805)),
     (skewfield(2, 1, f=25), ONE),
+    # the power cap on q: Sp(9013) answers (1 - q^-9012 T)^-1, and Sp(9014)
+    # is refused (exit 1), as q^-9013 would pass POWER_BITS_CAP
+    (["lfactor", "--p", "3"], steinberg(9013)),
+    (["lfactor", "--p", "3"], steinberg(9014)),
+    # the modulus search for F_(p^r) at its slowest (p, r) pair
+    (["witt", "--ring", "Fq:31", "--p", "101", "--length", "1"], witt_mul(1, 31, 101, 1901)),
+    # the spawn floor: a call whose computing is negligible
+    (["lfactor", "--p", "3"], steinberg(3)),
 ]
 
 

@@ -1,8 +1,10 @@
 """The package's public names, and which modules a CLI call imports."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,14 +41,19 @@ def test_public_names_are_the_home_modules_objects():
     assert callable(cli.main)
 
 
-def _padicgl_modules(code: str, stdin: str = ""):
-    """The padicgl.* entries of sys.modules after code runs in a fresh
-    interpreter."""
-    report = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'padicgl')))"
+def _modules_after(code: str, stdin: str = ""):
+    """The entries of sys.modules after code runs in a fresh interpreter."""
+    report = "print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}\n{report}"],
                           input=stdin, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _padicgl_modules(code: str, stdin: str = ""):
+    """The padicgl.* entries of sys.modules after code runs in a fresh
+    interpreter."""
+    return {m for m in _modules_after(code, stdin) if m.split(".")[0] == "padicgl"}
 
 
 def _after_cli(argv, stdin):
@@ -74,3 +81,20 @@ def test_a_langlands_subcommand_loads_only_the_langlands_half():
 ])
 def test_a_padic_subcommand_loads_only_the_padic_half(argv, stdin):
     assert _after_cli(argv, stdin) == SHARED | PADIC
+
+
+def test_runtime_modules_import_neither_dataclasses_nor_inspect():
+    # in a fresh interpreter: this one has imported both already
+    loaded = _modules_after("import padicgl.cli_langlands, padicgl.cli_padic")
+    assert "padicgl.cli_langlands" in loaded and "padicgl.cli_padic" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    src = Path(padicgl.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "dataclasses" for name in names), path.name
