@@ -113,7 +113,8 @@ def _wire_duals(a: InertialLabel, b: InertialLabel):
     setfield(b, "_dual", a)
 
 
-_UR_NAME = _re.compile(r"^ur\((-?\d+(?:/\d+)?),(-?\d+(?:/\d+)?),(-?\d+)\)$")
+# a denominator of only zeros is no number, so such a name is an unknown label
+_UR_NAME = _re.compile(r"^ur\((-?\d+(?:/0*[1-9]\d*)?),(-?\d+(?:/0*[1-9]\d*)?),(-?\d+)\)$")
 
 
 def _ur_name(c: GaussianRational, k: int) -> str:

@@ -141,5 +141,7 @@ def run_classify_predicates(args, payload, registry, ctx):
 @_langlands
 def run_verify(args, payload, registry, ctx):
     c = class_data_from_json(field(payload, "data"), registry, ctx, "data")
-    chi_atom, _ = atom_from_json(field(payload, "chi"), registry, ctx, "chi")
+    chi_atom, m = atom_from_json(field(payload, "chi"), registry, ctx, "chi")
+    if m != 1:
+        raise PayloadError(f"chi.m: expected 1 (chi is a character), got {m}")
     return verify_rec_axioms(c, chi_atom, ctx, registry)

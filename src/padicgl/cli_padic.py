@@ -126,10 +126,11 @@ def run_witt(args):
 
 
 # A carrier element is m coefficients of log2(p^N) bits, for m = f s (f u
-# for dieudonne); lifting Frobenius and building sigma_K take about s m
-# carrier products and m^3 coefficient products.  So the bits of p^N
-# and the degree are capped together: at the cap, the slowest skewfield op
-# measured (mul at s = 40, p = 7, N = 178) took 3.5 s spawned on a 2-core
+# for dieudonne).  sigma_K's matrix is built from m - 1 carrier products
+# after the Frobenius lift, and a skewfield mul or embed applies it up to
+# s (s - 1) times, m^2 coefficient products each.  So the bits of p^N and
+# the degree are capped together: at the cap, the slowest skewfield op
+# measured (mul at s = 40, p = 7, N = 178) took 3.4 s spawned on a 2-core
 # x86-64 box (Python 3.11.7).
 CARRIER_BITS_CAP = 20000
 

@@ -13,6 +13,8 @@ sigma_K(x) is the root of F congruent to x^q (unique by Hensel's lemma),
 reached by the Newton iteration that carries the inverse of F' along with
 the root from its residue-field value (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 9), and sigma_K is verified to have exact order s.
+The context keeps sigma_K's matrix alone: a constant, which sigma_K fixes,
+costs nothing, and a caller of several powers of one element walks its orbit.
 
 Only unramified base fields are supported here (pi_K = p); the
 representation-theoretic modules never consume this restriction since they
@@ -37,9 +39,9 @@ class PrecisionError(ArithmeticError):
 
 
 class UnramifiedContext(Value):
-    """W_N(F_{q^s}) with q = p^f, together with sigma_K of exact order s."""
+    """W_N(F_{q^s}), q = p^f, with sigma_K of exact order s as one m x m matrix."""
 
-    __slots__ = ("p", "f", "s", "precision", "_carrier", "_sigma_matrices")
+    __slots__ = ("p", "f", "s", "precision", "_carrier", "_sigma_matrix")
 
     def __init__(self, p: int, f: int, s: int, precision: int):
         if f < 1 or s < 1:
@@ -68,21 +70,16 @@ class UnramifiedContext(Value):
             z = carrier.mul(z, carrier.sub(carrier.from_int(2), carrier.mul(evaluate(df_terms, root), z)))
         if not carrier.is_zero(evaluate(f_terms, root)):
             raise ArithmeticError("Frobenius lift did not converge")
-
-        def matrix(img):
-            # sigma_K^j is Z/p^N-linear: row t of its matrix holds
-            # coefficient t of sigma_K^j(x^c) = img^c for c = 0..m-1
-            powers = [carrier.one()]
-            while len(powers) < m:
-                powers.append(carrier.mul(powers[-1], img))
-            return tuple(zip(*powers))
-
-        # imgs[j] = sigma_K^j(x), by the matrix of sigma_K (index 0 is unread)
-        setfield(self, "_sigma_matrices", (None, matrix(root)))
+        # sigma_K is Z/p^N-linear: row t of its matrix holds coefficient t
+        # of sigma_K(x^c) = root^c for c = 0..m-1
+        powers = [carrier.one()]
+        while len(powers) < m:
+            powers.append(carrier.mul(powers[-1], root))
+        setfield(self, "_sigma_matrix", tuple(zip(*powers)))
+        # imgs[j] = sigma_K^j(x), the orbit of x
         imgs = [gen, root]
         while len(imgs) <= self.s:
             imgs.append(self.sigma(imgs[-1]))
-        setfield(self, "_sigma_matrices", self._sigma_matrices + tuple(map(matrix, imgs[2:self.s])))
         if imgs[self.s] != gen:  # imgs[1] = root when s = 1
             raise ArithmeticError("sigma_K must be trivial when s = 1" if self.s == 1
                                   else "sigma_K does not have order s on the carrier")
@@ -98,12 +95,14 @@ class UnramifiedContext(Value):
         return self._carrier
 
     def sigma(self, a: Element, power: int = 1) -> Element:
-        """sigma_K^power; power may be negative (sigma_K has order s)."""
-        j = power % self.s
-        if j == 0:
+        """sigma_K^power for any integer power: its matrix applied power mod s
+        times, or a constant (zero too) at once, as sigma_K fixes Z/p^N."""
+        if not any(a[1:]):
             return a
-        pN = self.carrier.pN
-        return tuple(sum(map(mul, a, row)) % pN for row in self._sigma_matrices[j])
+        pN, rows = self.carrier.pN, self._sigma_matrix
+        for _ in range(power % self.s):
+            a = tuple(sum(map(mul, a, row)) % pN for row in rows)
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +157,19 @@ class CyclicAlgebra:
         if (x.r, x.s) != (self.r, self.s) or (y.r, y.s) != (self.r, self.s):
             raise ValueError("algebra parameters do not match")
         # (a_i Pi^i)(b_j Pi^j) = a_i sigma_K^i(b_j) Pi^(i+j), and Pi^s = p^r;
-        # zero coefficients are skipped, so powers of Pi stay cheap
+        # zero coefficients are skipped, so powers of Pi stay cheap, and each
+        # b_j walks its orbit under sigma_K up to the last nonzero a_i
         carrier, s = self.ctx.carrier, self.s
+        left = [(i, a, carrier.scalar_mul(self._p_to_r, a))
+                for i, a in enumerate(x.coeffs) if not carrier.is_zero(a)]
         terms = [[] for _ in range(s)]
-        for i, a in enumerate(x.coeffs):
-            if carrier.is_zero(a):
+        for j, b in enumerate(y.coeffs):
+            if carrier.is_zero(b):
                 continue
-            wrapped = carrier.scalar_mul(self._p_to_r, a)
-            for j, b in enumerate(y.coeffs):
-                if not carrier.is_zero(b):
-                    terms[(i + j) % s].append((a if i + j < s else wrapped, self.ctx.sigma(b, i)))
+            walked = 0
+            for i, a, wrapped in left:
+                b, walked = self.ctx.sigma(b, i - walked), i
+                terms[(i + j) % s].append((a if i + j < s else wrapped, b))
         zero = carrier.zero()
         return CyclicAlgebraElement(self.r, s, tuple(carrier.dot(t) if t else zero for t in terms))
 
@@ -190,15 +192,13 @@ class CyclicAlgebra:
         """Left multiplication in the K_s-column model, entry by entry:
         M(x)[i][k] = sigma^-(i+1)(a_((i-k) mod s)), times p^r when i < k
         (the wrap-around of Pi^s = p^r)."""
-        carrier, p_to_r = self.ctx.carrier, self._p_to_r
-        out = []
-        for i in range(self.s):
-            twisted = [self.ctx.sigma(a, -(i + 1)) for a in x.coeffs]
-            out.append(tuple(
-                carrier.scalar_mul(p_to_r, twisted[i - k]) if i < k else twisted[i - k]
-                for k in range(self.s)
-            ))
-        return tuple(out)
+        carrier, p_to_r, s = self.ctx.carrier, self._p_to_r, self.s
+        # sigma^-(i+1) = sigma^(s-1-i): orbits[t] holds sigma^t of x's coefficients
+        orbits = [x.coeffs]
+        while len(orbits) < s:
+            orbits.append(tuple(map(self.ctx.sigma, orbits[-1])))
+        return tuple(tuple(carrier.scalar_mul(p_to_r, twisted[i - k]) if i < k else twisted[i - k]
+                           for k in range(s)) for i, twisted in enumerate(reversed(orbits)))
 
     def reduced_norm_val(self, x: CyclicAlgebraElement) -> Tuple[Element, Fraction]:
         """Nrd = det of the embedded matrix (verified sigma_K-invariant);

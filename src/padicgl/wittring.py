@@ -224,9 +224,10 @@ def find_irreducible(p: int, r: int) -> Tuple[int, ...]:
 
 
 #: The largest extension degree m of a carrier: one product is an integer
-#: product of m slots and a reduction of m - 1 slots, and a Teichmuller
-#: lift or a Frobenius matrix takes m^2 coefficient products and more.  It
-#: also bounds the modulus search: at most 4.7 s in the README sweep.
+#: product of m slots and a reduction of m - 1 slots, and sigma_K is one
+#: m x m matrix, built from m - 1 products, whose application to an
+#: element that is not a constant takes m^2 coefficient products.  It also
+#: bounds the modulus search: at most 4.7 s in the README sweep.
 CARRIER_DEGREE_CAP = 40
 
 

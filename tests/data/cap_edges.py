@@ -59,12 +59,12 @@ def witt_mul(length, digits, p, seed):
 
 
 def algebra(op, s, m, p, e, *seeds):
-    """norm (one seed) or mul (two): s Pi-coefficients of m digits in
-    [0, p^e) each, one generator per element."""
+    """norm or embed (one seed) or mul (two): s Pi-coefficients of m digits
+    in [0, p^e) each, one generator per element."""
     doc = {"op": op}
     for name, seed in zip("xy", seeds):
         doc[name] = _grid(random.Random(seed), s, m, p ** e)
-    names = "x" if op == "norm" else "x, y"
+    names = ", ".join("xy"[:len(seeds)])
     return (f"op {op}; {names}: {s} x {m} digits in [0, {p}^{e}), random.Random(seed).randrange, "
             f"seeds {', '.join(map(str, seeds))}", json.dumps(doc))
 
@@ -95,6 +95,7 @@ CALLS = [
     (skewfield(7, 40), algebra("mul", 40, 40, 7, 4, 1609, 1610)),
     (skewfield(2, 40, 500), algebra("mul", 40, 40, 2, 500, 1605, 1606)),
     (skewfield(7, 40, 178), algebra("mul", 40, 40, 7, 178, 1607, 1608)),
+    (skewfield(7, 40, 178), algebra("embed", 40, 40, 7, 178, 2001)),
     (["dieudonne", "--p", "2", "--rank", "400", "--etale-height", "200", "--precision", "14000"], NONE),
     (skewfield(2, 24, 800), algebra("norm", 24, 24, 2, 800, 1701)),
     (skewfield(5, 24, 358), algebra("norm", 24, 24, 5, 358, 1702)),
@@ -108,6 +109,9 @@ CALLS = [
     # dieudonne at rank n f u = 400 with a larger residue degree
     (["dieudonne", "--p", "2", "--rank", "200", "--etale-height", "100", "--residue-degree", "2"], NONE),
     (["dieudonne", "--p", "3", "--rank", "100", "--etale-height", "50", "--residue-degree", "4"], NONE),
+    # residue degree 40: every entry of V and F is 0, 1, p or a product of
+    # them, constants that sigma_K fixes at no cost
+    (["dieudonne", "--p", "3", "--rank", "10", "--etale-height", "5", "--residue-degree", "40"], NONE),
     # norms past f s = 24, bounded by the norm charge alone
     (skewfield(2, 40, 12), algebra("norm", 40, 40, 2, 12, 1801)),
     (skewfield(2, 40, 13), algebra("norm", 40, 40, 2, 13, 1802)),

@@ -515,3 +515,29 @@ def frobenius_root_by_full_inversions(carrier, q):
     if not carrier.is_zero(evaluate(coeffs, root)):
         raise ArithmeticError("Frobenius lift did not converge")
     return root
+
+
+def sigma_by_power_matrices(ctx, a, power):
+    """Reference sigma_K^power for j = power mod s: the matrix of sigma_K^j,
+    whose column c is img_j^c for img_j = sigma_K^j(x), applied to a (0
+    and 1 included); img_j is img_(j-1) through the matrix of sigma_K,
+    whose column c is root^c for the root frobenius_root_by_full_inversions
+    finds (what UnramifiedContext did before it kept sigma_K's matrix alone)."""
+    carrier = ctx.carrier
+
+    def matrix(img):
+        powers = [carrier.one()]
+        while len(powers) < carrier.m:
+            powers.append(carrier.mul(powers[-1], img))
+        return tuple(zip(*powers))
+
+    def apply(mat, b):
+        return tuple(sum(c * e for c, e in zip(b, row)) % carrier.pN for row in mat)
+
+    j = power % ctx.s
+    if j == 0:
+        return a
+    first, img = matrix(frobenius_root_by_full_inversions(carrier, ctx.q)), carrier.gen()
+    for _ in range(j):
+        img = apply(first, img)
+    return apply(matrix(img), a)

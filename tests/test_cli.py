@@ -138,6 +138,22 @@ def test_verify_refuses_a_chi_that_is_not_a_character(registry_file, monkeypatch
         1, {"error": "ValueError", "detail": "tensor character must have degree 1"})
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_verify_refuses_a_chi_with_a_multiplicity(m, monkeypatch, capsys):
+    # chi is one character: its m is refused, not dropped as if it were 1
+    payload = json.dumps({"data": json.loads(ST2), "chi": {"label": "ur(1,0,1)", "m": m}})
+    assert _main_in_process(["verify", "--p", "3"], payload, monkeypatch, capsys) == (
+        2, {"error": "parse", "detail": f"chi.m: expected 1 (chi is a character), got {m}"})
+
+
+@pytest.mark.parametrize("label", ["ur(1/0,0,0)", "ur(1,0/00,0)"])
+def test_an_unramified_label_with_a_zero_denominator_is_unknown(label, monkeypatch, capsys):
+    # the real and the imaginary part of ur(re,im,k)
+    payload = json.dumps({"blocks": [{"label": label, "m": 2}]})
+    assert _main_in_process(["lfactor", "--p", "3"], payload, monkeypatch, capsys) == (
+        1, {"error": "RegistryError", "detail": f"unknown label {label!r}"})
+
+
 @contextlib.contextmanager
 def _int_digits(limit):
     """Python's int-to-str digit limit raised to limit, and restored."""

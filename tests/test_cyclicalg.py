@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -22,7 +23,7 @@ from padicgl.wittring import GFRing, UnramWittCarrier, WittContext, frobenius
 
 from helpers import (
     any_coefficients, carriers_under_any_modulus, etale_height_by_iteration, frobenius_root_by_full_inversions,
-    leibniz_det, mat_mul_by_triple_loop, v_power_by_iteration,
+    leibniz_det, mat_mul_by_triple_loop, sigma_by_power_matrices, v_power_by_iteration,
 )
 
 
@@ -31,6 +32,17 @@ def rand_alg_elem(alg, rng):
     return alg.element(
         [[rng.randint(0, carrier.pN - 1) for _ in range(carrier.m)] for _ in range(alg.s)]
     )
+
+
+def sparse_alg_elems(alg, rng):
+    """Zero, a constant, Pi^k for k < s, one term c x^t Pi^i, and an element
+    whose Pi-coefficients are all constants."""
+    m, pN, s = alg.ctx.carrier.m, alg.ctx.carrier.pN, alg.s
+    single = [[0]] * s
+    single[rng.randrange(s)] = [0] * rng.randrange(m) + [rng.randrange(1, pN)]
+    return ([alg.element([]), alg.element([[rng.randrange(1, pN)]])]
+            + [alg.element([[0]] * k + [[1]]) for k in range(s)]
+            + [alg.element(single), alg.element([[rng.randrange(pN)] for _ in range(s)])])
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +82,32 @@ def test_sigma_fixes_prime_subring():
         assert ctx.sigma(e) == e
 
 
+@functools.lru_cache(maxsize=None)
+def _context(p, f, s, n):
+    return UnramifiedContext(p, f, s, n)
+
+
+@st.composite
+def _sigma_case(draw):
+    # zero, constants, units, non-units, single terms and dense elements
+    ctx = _context(draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2))),
+                   draw(st.sampled_from((1, 2, 5))), draw(st.sampled_from((1, 3))))
+    carrier = ctx.carrier
+    digit = st.integers(0, carrier.pN - 1)
+    dense = st.lists(digit, min_size=carrier.m, max_size=carrier.m).map(carrier.element)
+    single = st.tuples(st.integers(0, carrier.m - 1), digit).map(lambda t: carrier.element([0] * t[0] + [t[1]]))
+    a = draw(st.one_of(st.just(carrier.zero()), digit.map(carrier.from_int), dense.filter(carrier.is_unit),
+                       dense.map(lambda b: carrier.scalar_mul(ctx.p, b)), single, dense))
+    return ctx, a, draw(st.integers(-2 * ctx.s, 2 * ctx.s))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_sigma_case())
+def test_sigma_matches_the_matrix_of_each_power(case):
+    ctx, a, power = case
+    assert ctx.sigma(a, power) == sigma_by_power_matrices(ctx, a, power)
+
+
 # ---------------------------------------------------------------------------
 # cyclic algebras
 
@@ -107,8 +145,9 @@ def test_power_matches_repeated_multiplication(p, s, r):
 def test_multiplication_distributes_over_addition(p, f, s, r):
     alg = CyclicAlgebra(UnramifiedContext(p, f, s, 4), r)
     rng = random.Random(p * s + r)
-    for _ in range(8):
-        x, y, z = (rand_alg_elem(alg, rng) for _ in range(3))
+    cases = [[rand_alg_elem(alg, rng) for _ in range(3)] for _ in range(8)]
+    sparse = sparse_alg_elems(alg, rng)
+    for x, y, z in cases + [(x, rand_alg_elem(alg, rng), y) for x in sparse for y in sparse]:
         assert alg.equal(alg.mul(x, alg.add(y, z)), alg.add(alg.mul(x, y), alg.mul(x, z)))
         assert alg.equal(alg.mul(alg.add(y, z), x), alg.add(alg.mul(y, x), alg.mul(z, x)))
 
@@ -148,8 +187,8 @@ def test_embed_matrix_u_relations():
     carrier = ctx.carrier
     rng = random.Random(7)
     p_r = carrier.from_int(2)
-    for _ in range(20):
-        u = alg.embed_matrix(rand_alg_elem(alg, rng))
+    for x in [rand_alg_elem(alg, rng) for _ in range(20)] + sparse_alg_elems(alg, rng):
+        u = alg.embed_matrix(x)
         s = alg.s
         assert u[0][0] == ctx.sigma(u[s - 1][s - 1], -1)
         for i in range(s - 1):
@@ -167,8 +206,11 @@ def test_embed_multiplicative_random():
     for p, s, r, reps in ((3, 2, 1, 40), (2, 5, 2, 10), (3, 6, 5, 6), (2, 7, 3, 6)):
         ctx = UnramifiedContext(p, 1, s, 4)
         alg = CyclicAlgebra(ctx, r)
-        for _ in range(reps):
-            x, y = rand_alg_elem(alg, rng), rand_alg_elem(alg, rng)
+        pairs = [(rand_alg_elem(alg, rng), rand_alg_elem(alg, rng)) for _ in range(reps)]
+        # sparse factors, each also against a dense one, from their own
+        # generator so that rng draws the random pairs it always drew
+        sparse = sparse_alg_elems(alg, random.Random(s))
+        for x, y in pairs + [(x, y) for x in sparse for y in sparse + [pairs[0][0]]]:
             prod = _mat_mul(ctx, alg.embed_matrix(x), alg.embed_matrix(y))
             assert prod == alg.embed_matrix(alg.mul(x, y))
 
