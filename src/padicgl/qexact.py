@@ -8,12 +8,18 @@ one integer triple (a, b, d) meaning (a + b i)/d, with gcd(a, b, d) = 1
 and d > 0, so its arithmetic builds no Fraction; its ``re`` and ``im`` are
 reduced Fractions formed only when read, for printing and JSON.
 
+Exponents are worked in half-units: the integer k stands for q^(k/2).  A
+half-integer w handed in (a shift, a pole point, a power of q) is read once
+by :func:`_half_units` as the integer 2w, so shifts, poles and equality
+build no Fraction; :func:`as_q_power` forms one only for the exponent it
+returns.
+
 The scalar representation is deliberately *not* canonical: 3 * q^0 and
 1 * q^(1/2) denote the same number when q = 9.  Equality therefore never
 compares the raw data field by field.  :func:`equals_one` decides every
 equality: x = c * q^(k/2) is 1 exactly when c is a positive rational p^v
-and k/2 + v/f = 0, which it reads from p-valuations (:func:`as_q_power`)
-without forming any power of q; :func:`norm_is_one` and
+and k f + 2v = 0, which it reads from p-valuations without forming any
+power of q; :func:`norm_is_one` and
 :func:`scalars_equal` ask it of |x|^2 and of x / y.
 :func:`canonical_scalar` fixes the one printed form, and its key orders
 scalars; only values that must be sorted or printed go through it.
@@ -53,11 +59,22 @@ def _fraction(value: FractionLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _half_units(value: FractionLike, what: str = "exponent") -> int:
+    """2 * value, for a value in (1/2)Z: the one place that rule is read."""
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, Fraction):
+        d = value.denominator  # a Fraction is in lowest terms
+        if d > 2:
+            raise ValueError(f"{what} must lie in (1/2)Z, got {value}")
+        return value.numerator * (2 // d)
+    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
 def _half_integer(value: FractionLike, what: str = "exponent") -> Fraction:
-    x = _fraction(value)
-    if x.denominator > 2:  # a Fraction is in lowest terms
-        raise ValueError(f"{what} must lie in (1/2)Z, got {x}")
-    return x
+    """value as a Fraction, for a value in (1/2)Z (:func:`_half_units`)."""
+    _half_units(value, what)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class GaussianRational:
@@ -73,6 +90,9 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: FractionLike = 0, im: FractionLike = 0):
+        if type(re) is int and type(im) is int:  # (re, im, 1) is the normal form
+            self._a, self._b, self._d = re, im, 1
+            return
         re, im = _fraction(re), _fraction(im)
         # with d the lcm of two reduced denominators, a, b and d share no prime
         d = lcm(re.denominator, im.denominator)
@@ -175,9 +195,6 @@ class GaussianRational:
             return self.inverse() ** (-n)
         return power(self, n, GaussianRational.__mul__, QI_ONE)
 
-    def scale(self, r: FractionLike) -> "GaussianRational":
-        return _make(self._a * r.numerator, self._b * r.numerator, self._d * r.denominator)
-
     def __str__(self) -> str:
         re, im = self.re, self.im
         if im == 0:
@@ -231,20 +248,6 @@ class LocalFieldContext(Value):
     def q(self) -> int:
         return self.p ** self.f
 
-    @property
-    def sqrt_q(self) -> Optional[int]:
-        """Integer square root of q when f is even, else None."""
-        if self.f % 2 == 0:
-            return self.p ** (self.f // 2)
-        return None
-
-    def q_pow(self, k: int) -> Fraction:
-        """q^k as an exact rational, k any integer."""
-        _refuse_power(self.f * log2(self.p), k, "q")
-        if k >= 0:
-            return Fraction(self.q ** k)
-        return Fraction(1, self.q ** (-k))
-
 
 class ExactScalar(Value):
     """c * q^(k/2) with c a Gaussian rational.  Non-canonical by design."""
@@ -266,8 +269,7 @@ class ExactScalar(Value):
     @staticmethod
     def q_power(w: FractionLike) -> "ExactScalar":
         """The scalar q^w for a half-integer w."""
-        w = _half_integer(w)
-        return ExactScalar(QI_ONE, 2 * w.numerator // w.denominator)
+        return ExactScalar(QI_ONE, _half_units(w))
 
     def is_zero(self) -> bool:
         return self.c.is_zero()
@@ -293,8 +295,7 @@ class ExactScalar(Value):
 
     def shift(self, w: FractionLike) -> "ExactScalar":
         """Multiply by q^w, w half-integer."""
-        w = _half_integer(w)
-        return ExactScalar(self.c, self.k + 2 * w.numerator // w.denominator)
+        return ExactScalar(self.c, self.k + _half_units(w))
 
 
 def canonical_scalar(x: ExactScalar, ctx: LocalFieldContext) -> ExactScalar:
@@ -335,18 +336,21 @@ def _p_valuation(a: int, b: int, p: int) -> Tuple[int, int, int]:
     return v, a, b
 
 
-def as_q_power(x: ExactScalar, ctx: LocalFieldContext) -> Optional[Fraction]:
-    """If x = q^w for a half-integer w, return w, else None."""
-    c = x.c
+def _p_exponent(c: GaussianRational, p: int) -> Optional[int]:
+    """v if c is the positive rational p^v, else None."""
     if c._b or c._a <= 0:
         return None
-    v, a, b = _p_valuation(c._a, c._d, ctx.p)  # a/d is in lowest terms, as b = 0
-    if a != 1 or b != 1:
+    v, a, b = _p_valuation(c._a, c._d, p)  # a/d is in lowest terms, as b = 0
+    return v if a == 1 and b == 1 else None
+
+
+def as_q_power(x: ExactScalar, ctx: LocalFieldContext) -> Optional[Fraction]:
+    """If x = q^w for a half-integer w, return w, else None."""
+    v = _p_exponent(x.c, ctx.p)
+    if v is None:
         return None
-    w = Fraction(x.k, 2) + Fraction(v, ctx.f)
-    if (2 * w).denominator != 1:
-        return None
-    return w
+    n, r = divmod(x.k * ctx.f + 2 * v, ctx.f)  # 2w = k + 2v/f
+    return None if r else Fraction(n, 2)
 
 
 def _format_exponent(w: Fraction) -> str:
@@ -372,8 +376,10 @@ def render_scalar(x: ExactScalar, ctx: LocalFieldContext) -> str:
 
 
 def equals_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
-    """True iff x denotes 1 for the concrete q: x = q^0 (:func:`as_q_power`)."""
-    return as_q_power(x, ctx) == 0
+    """True iff x denotes 1 for the concrete q: x = p^v q^(k/2) with
+    k f + 2v = 0."""
+    v = _p_exponent(x.c, ctx.p)
+    return v is not None and x.k * ctx.f + 2 * v == 0
 
 
 def norm_is_one(x: ExactScalar, ctx: LocalFieldContext) -> bool:
@@ -430,8 +436,8 @@ class LFactor(Value):
 
     def shift(self, c: FractionLike) -> "LFactor":
         """L(s + c) as an LFactor in s: every (a, t) becomes (a*q^(-t*c), t)."""
-        c = _half_integer(c, "shift")
-        return LFactor(tuple([(a.shift(-t * c), t) for a, t in self.factors]))
+        c2 = _half_units(c, "shift")
+        return LFactor(tuple([(ExactScalar(a.c, a.k - t * c2), t) for a, t in self.factors]))
 
     def canonical_order(self, ctx: LocalFieldContext) -> List[Tuple[tuple, ExactScalar, int]]:
         """(key, a, t) for every factor, sorted by key = (t,) + the canonical
@@ -445,10 +451,10 @@ class LFactor(Value):
     def pole_at(self, s0: FractionLike, ctx: LocalFieldContext) -> Tuple[bool, int]:
         """Pole data at s = s0 (half-integer): a factor (a, t) vanishes there
         iff a * q^(-t*s0) = 1."""
-        s0 = _half_integer(s0, "s0")
+        s2 = _half_units(s0, "s0")
         order = 0
         for a, t in self.factors:
-            if equals_one(a.shift(-t * s0), ctx):
+            if equals_one(ExactScalar(a.c, a.k - t * s2), ctx):
                 order += 1
         return order >= 1, order
 

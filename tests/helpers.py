@@ -22,7 +22,15 @@ from padicgl.bzclass import (
     unramified_atom,
 )
 from padicgl.common import power
-from padicgl.qexact import ExactScalar, GaussianRational, LocalFieldContext, _refuse_power, canonical_scalar_key
+from padicgl.qexact import (
+    ExactScalar,
+    GaussianRational,
+    LFactor,
+    LocalFieldContext,
+    _make,
+    _refuse_power,
+    canonical_scalar_key,
+)
 from padicgl.wittring import UnramWittCarrier, _monic_polys, _poly_mod, universal_polynomials
 
 
@@ -189,12 +197,35 @@ def names_reached(*start):
                 todo.append(target)
 
 
+def q_pow(ctx, k):
+    """q^k as an exact rational, k any integer, under the library's power
+    cap (once LocalFieldContext.q_pow)."""
+    _refuse_power(ctx.f * log2(ctx.p), k, "q")
+    if k >= 0:
+        return Fraction(ctx.q ** k)
+    return Fraction(1, ctx.q ** (-k))
+
+
+def sqrt_q(ctx):
+    """Integer square root of q when f is even, else None (once
+    LocalFieldContext.sqrt_q)."""
+    if ctx.f % 2 == 0:
+        return ctx.p ** (ctx.f // 2)
+    return None
+
+
+def scale(x, r):
+    """The Gaussian rational x times the rational r (once
+    GaussianRational.scale)."""
+    return _make(x._a * r.numerator, x._b * r.numerator, x._d * r.denominator)
+
+
 def equals_one_by_square(x, ctx):
     """Reference for qexact.equals_one (its own formula before it compared
     canonical forms): c real and positive with c^2 = q^(-k)."""
     if x.c.im != 0 or x.c.re <= 0:
         return False
-    return x.c.re * x.c.re == ctx.q_pow(-x.k)
+    return x.c.re * x.c.re == q_pow(ctx, -x.k)
 
 
 def norm_is_one_by_comparison(x, ctx):
@@ -202,7 +233,68 @@ def norm_is_one_by_comparison(x, ctx):
     positive q-monomials it used before): |x|^2 = N(c) q^k is 1 iff
     N(c)^2 = q^(-2k), both sides squared to clear the half exponent."""
     n = x.c.norm_sq()
-    return n * n == ctx.q_pow(-2 * x.k)
+    return n * n == q_pow(ctx, -2 * x.k)
+
+
+# References for the exponent arithmetic of qexact, which reads a
+# half-integer once as the integer 2w: the formulas it used before, which
+# read it as a Fraction and added p-valuations as Fractions.
+
+def half_integer_by_fraction(value, what="exponent"):
+    """value as a Fraction in (1/2)Z, or the library's refusal."""
+    if isinstance(value, Fraction):
+        x = value
+    elif isinstance(value, int):
+        x = Fraction(value)
+    else:
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if x.denominator > 2:
+        raise ValueError(f"{what} must lie in (1/2)Z, got {x}")
+    return x
+
+
+def shift_by_fraction(x, w):
+    """Reference for ExactScalar.shift."""
+    w = half_integer_by_fraction(w)
+    return ExactScalar(x.c, x.k + 2 * w.numerator // w.denominator)
+
+
+def q_power_by_fraction(w):
+    """Reference for ExactScalar.q_power."""
+    return shift_by_fraction(ExactScalar(GaussianRational(Fraction(1)), 0), w)
+
+
+def lfactor_shift_by_fraction(l, c):
+    """Reference for LFactor.shift: (a, t) becomes (a q^(-t c), t)."""
+    c = half_integer_by_fraction(c, "shift")
+    return LFactor(tuple((shift_by_fraction(a, -t * c), t) for a, t in l.factors))
+
+
+def as_q_power_by_fraction(x, ctx):
+    """Reference for qexact.as_q_power: w = k/2 + v/f when c = p^v."""
+    if x.c.im != 0 or x.c.re <= 0:
+        return None
+    r, v = x.c.re, 0
+    while r.numerator % ctx.p == 0:
+        r, v = r / ctx.p, v + 1
+    while r.denominator % ctx.p == 0:
+        r, v = r * ctx.p, v - 1
+    if r != 1:
+        return None
+    w = Fraction(x.k, 2) + Fraction(v, ctx.f)
+    return w if (2 * w).denominator == 1 else None
+
+
+def equals_one_by_fraction(x, ctx):
+    """Reference for qexact.equals_one: x = q^0."""
+    return as_q_power_by_fraction(x, ctx) == 0
+
+
+def pole_at_by_fraction(l, s0, ctx):
+    """Reference for LFactor.pole_at: the factors with a q^(-t s0) = 1."""
+    s0 = half_integer_by_fraction(s0, "s0")
+    order = sum(1 for a, t in l.factors if equals_one_by_fraction(shift_by_fraction(a, -t * s0), ctx))
+    return order >= 1, order
 
 
 def scalars_equal_by_key(x, y, ctx):
@@ -290,9 +382,9 @@ def canonical_key_by_fractions(c: FractionPairGaussian, k: int, ctx):
     power of q, and for square q the root, scaled into c as Fractions."""
     a, r = divmod(k, 2)
     if a:
-        c = c.scale(ctx.q_pow(a))
-    if r and ctx.sqrt_q is not None:
-        c = c.scale(Fraction(ctx.sqrt_q))
+        c = c.scale(q_pow(ctx, a))
+    if r and sqrt_q(ctx) is not None:
+        c = c.scale(Fraction(sqrt_q(ctx)))
         r = 0
     return (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator, r)
 

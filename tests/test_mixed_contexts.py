@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_ctx
+from helpers import make_ctx, sqrt_q
 from padicgl.bzclass import ClassData, Segment, linked, unramified_atom
 from padicgl.factors import gl_pair_l_inductive, wd_l_factor, wd_pair_l
 from padicgl.langlands import dictionary_report, rec_forward, satake_class_data, satake_parameters
@@ -53,10 +53,10 @@ def test_value_aliasing_is_canonicalized(ctx):
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=lambda c: f"q={c.q}")
 def test_sqrt_q_aliases_at_square_q(ctx):
-    if ctx.sqrt_q is None:
+    if sqrt_q(ctx) is None:
         return
     # p^(f/2) equals q^(1/2) on the nose, so both spellings share a label
-    a = unramified_atom(ExactScalar.of(ctx.sqrt_q), ctx)
+    a = unramified_atom(ExactScalar.of(sqrt_q(ctx)), ctx)
     b = unramified_atom(ExactScalar.q_power(Fraction(1, 2)), ctx)
     assert a.label.name == b.label.name and a.x == b.x
 

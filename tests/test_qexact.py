@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 
 from helpers import (
     FractionPairGaussian,
+    as_q_power_by_fraction,
     canonical_key_by_fractions,
+    equals_one_by_fraction,
     equals_one_by_square,
+    lfactor_shift_by_fraction,
     names_reached,
     norm_is_one_by_comparison,
+    pole_at_by_fraction,
+    q_pow,
+    q_power_by_fraction,
     random_nonzero_scalar,
     scalars_equal_by_key,
+    scale,
+    shift_by_fraction,
     trivial_atom,
 )
 from padicgl.bzclass import Atom
@@ -24,6 +32,8 @@ from padicgl.qexact import (
     GaussianRational,
     LFactor,
     LocalFieldContext,
+    as_q_power,
+    canonical_scalar,
     canonical_scalar_key,
     equals_one,
     norm_is_one,
@@ -75,7 +85,7 @@ def test_equals_one_cancellation():
     ctx = LocalFieldContext(2, 1)
     rng = random.Random(7)
     for a in range(-3, 4):
-        x = ExactScalar.of(ctx.q_pow(a), 0, -2 * a)  # a representation of 1
+        x = ExactScalar.of(q_pow(ctx, a), 0, -2 * a)  # a representation of 1
         assert equals_one(x, ctx)
         for _ in range(10):
             y = random_nonzero_scalar(rng)
@@ -149,11 +159,11 @@ def scalar_in_context(draw):
     def scalar():
         k = draw(st.integers(-K, K))
         e = draw(st.integers(-9, 9)) - draw(st.sampled_from((0, k * ctx.f // 2)))
-        return ExactScalar(draw(st.sampled_from(UNITS)).scale(Fraction(ctx.p) ** e), k)
+        return ExactScalar(scale(draw(st.sampled_from(UNITS)), Fraction(ctx.p) ** e), k)
 
     x = scalar()
     a = draw(st.integers(-K // 2, K // 2))
-    y = draw(st.sampled_from((scalar(), ExactScalar(x.c.scale(Fraction(ctx.q) ** a), x.k - 2 * a))))
+    y = draw(st.sampled_from((scalar(), ExactScalar(scale(x.c, Fraction(ctx.q) ** a), x.k - 2 * a))))
     return x, y, ctx
 
 
@@ -194,9 +204,9 @@ def test_power_cap_refuses_before_forming_and_spares_units():
     with pytest.raises(ValueError, match="q = 2\\^14285 would pass the cap of 14284 bits"):
         LocalFieldContext(2, 14285)
     ctx = LocalFieldContext(3, 1)
-    assert ctx.q_pow(-9012) == Fraction(1, 3 ** 9012)
+    assert canonical_scalar(ExactScalar.q_power(-9012), ctx).c == GaussianRational(Fraction(1, 3 ** 9012))
     with pytest.raises(ValueError, match="q\\^-9013 would pass"):
-        ctx.q_pow(-9013)
+        canonical_scalar(ExactScalar.q_power(-9013), ctx)
     # |1 + i|^2 = 2, so (1 + i)^n has about n/2 bits
     assert GaussianRational.of(1, 1) ** 28568 == GaussianRational.of(2 ** 14284)
     with pytest.raises(ValueError, match="would pass the cap"):
@@ -247,7 +257,7 @@ def test_integer_triple_matches_the_fraction_pair(x, y, r, n):
     for op in (operator.add, operator.sub, operator.mul):
         _same(op(xn, yn), op(xr, yr))
     _same(-xn, -xr)
-    _same(xn.scale(r), xr.scale(r))
+    _same(scale(xn, r), xr.scale(r))
     assert xn.norm_sq() == xr.norm_sq()
     assert xn.is_zero() == xr.is_zero()
     assert (xn == yn) == (xr == yr)
@@ -319,3 +329,78 @@ def test_a_third_is_refused_wherever_a_half_integer_is_read():
     ]:
         with pytest.raises(ValueError, match=rf"^{what} must lie in \(1/2\)Z, got 1/3$"):
             call()
+
+
+def _result(call):
+    """call()'s value, or the type and text of the error it raised."""
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def exponent_cases(draw):
+    """(x, y, ctx, w, L): x and y as in scalar_in_context; w an integer, a
+    Fraction of denominator 1 or 2, or a refused third or quarter; L a few
+    factors (a, t), a often p^e q^(k/2) = q^(t s0) for s0 = w or near it,
+    so that pole_at finds poles."""
+    x, y, ctx = draw(scalar_in_context())
+    w = draw(st.one_of(
+        st.integers(-40, 40),
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2))),
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from((3, 4))),
+    ))
+    half = ctx.f // 2 if ctx.f % 2 == 0 else ctx.f  # p^half is a power of q^(1/2)
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.integers(1, 3))
+        s0 = draw(st.sampled_from((0, Fraction(1, 2), -1))) + (w if w.denominator <= 2 else 0)
+        j = draw(st.integers(-2, 2))
+        pole = ExactScalar(GaussianRational(Fraction(ctx.p) ** (j * half)),
+                           int(2 * t * s0) - 2 * j * half // ctx.f)
+        a = draw(st.sampled_from((pole, x)))
+        if not a.is_zero():
+            factors.append((a, t))
+    return x, y, ctx, w, LFactor.of(factors)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exponent_cases())
+def test_exponents_in_half_units_match_the_fraction_formulas(case):
+    x, y, ctx, w, l_factor = case
+    assert _result(lambda: x.shift(w)) == _result(lambda: shift_by_fraction(x, w))
+    assert _result(lambda: ExactScalar.q_power(w)) == _result(lambda: q_power_by_fraction(w))
+    assert _result(lambda: l_factor.shift(w)) == _result(lambda: lfactor_shift_by_fraction(l_factor, w))
+    assert _result(lambda: l_factor.pole_at(w, ctx)) == _result(lambda: pole_at_by_fraction(l_factor, w, ctx))
+    for z in (x, y, x / y if not y.is_zero() else y):
+        assert equals_one(z, ctx) == equals_one_by_fraction(z, ctx)
+        got, want = as_q_power(z, ctx), as_q_power_by_fraction(z, ctx)
+        assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(*[st.one_of(st.integers(-10 ** 30, 10 ** 30), small_fractions)] * 2)
+def test_a_gaussian_rational_from_integers_is_the_one_from_fractions(re, im):
+    x = GaussianRational(re, im)
+    _same(x, FractionPairGaussian(Fraction(re), Fraction(im)))
+    if type(re) is int and type(im) is int:
+        assert (x._a, x._b, x._d) == (re, im, 1)
+
+
+def test_exponent_refusals_name_their_argument():
+    ctx = LocalFieldContext(3, 1)
+    l_factor = LFactor.of([(ExactScalar.one(), 1)])
+    calls = [
+        (lambda w: ExactScalar.one().shift(w), "exponent"),
+        (lambda w: ExactScalar.q_power(w), "exponent"),
+        (lambda w: l_factor.shift(w), "shift"),
+        (lambda w: l_factor.pole_at(w, ctx), "s0"),
+    ]
+    for call, what in calls:
+        for w in (Fraction(1, 3), Fraction(5, 4)):
+            with pytest.raises(ValueError, match=rf"^{what} must lie in \(1/2\)Z, got {w}$"):
+                call(w)
+        for w in (0.5, "1/2", None):
+            with pytest.raises(TypeError, match="as an exact rational$"):
+                call(w)
