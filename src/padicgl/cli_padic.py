@@ -59,6 +59,8 @@ def _witt_coord(ring, c, path):
         raise PayloadError(f"{path}: expected a number, got a boolean")
     if isinstance(c, list):
         c = digits(c, path)
+        if isinstance(ring, GFRing) and len(c) > ring.m:
+            raise PayloadError(f"{path}: expected at most {ring.m} coefficients, got {len(c)}")
     elif isinstance(c, str) and isinstance(ring, RationalField):  # other rings quote the string
         try:
             c = Fraction(c)
@@ -107,17 +109,20 @@ def run_witt(args):
     wctx = WittContext(ring, args.p, args.length)
     op = string(field(payload, "op", default=""), "op")
 
-    def coords(key):
-        return array(field(payload, key), key, lambda c, path: _witt_coord(ring, c, path))
+    def coords(key, what="coordinates"):
+        values = array(field(payload, key), key, lambda c, path: _witt_coord(ring, c, path))
+        if what and len(values) != args.length:
+            raise PayloadError(f"{key}: expected {args.length} {what}, got {len(values)}")
+        return values
 
     if op in _WITT_BINARY:
         out = _WITT_BINARY[op](wctx.vector(coords("x")), wctx.vector(coords("y")))
     elif op in _WITT_UNARY:
         out = _WITT_UNARY[op](wctx.vector(coords("x")))
     elif op == "ghost-inverse":
-        out = ghost_inverse(wctx, coords("x")).coords
+        out = ghost_inverse(wctx, coords("x", "ghost components")).coords
     elif op == "witt-polynomial":
-        values = coords("x")
+        values = coords("x", None)
         n = integer(field(payload, "n", default=len(values) - 1), "n")
         return {"result": _witt_coords_out((witt_polynomial(args.p, n, values, ring),))[0]}
     else:
@@ -153,13 +158,15 @@ def _carrier_size(args, s: int) -> float:
     return size
 
 
-# The reduced norm is Bird's division-free determinant of an s x s matrix
-# over the carrier: about s^4 / 3 packed products of integers of about
-# 2 f s log2(p^N) bits, whose cost grows about as the 1.5th power of that
-# size (doubling it at s = 16, 20 and 24 multiplied the time by 2.2 to
-# 3.2).  So a norm is charged s^4 (f s log2 p^N)^1.5, refused past
-# NORM_COST_CAP; the slowest accepted norms measured took 2.2-2.3 s
-# spawned on a 2-core x86-64 box (s = 40 at p = 2, N = 12 and p = 7, N = 4).
+# The reduced norm is the determinant of an s x s matrix over the carrier.
+# The charge was fitted to Bird's division-free determinant, used before the
+# O(s^3) elimination of cyclicalg._det: about s^4 / 3 packed products of
+# integers of about 2 f s log2(p^N) bits, whose cost grows about as the 1.5th
+# power of that size.  So a norm is charged s^4 (f s log2 p^N)^1.5, refused
+# past NORM_COST_CAP; the slowest norms it accepted took 2.2-2.3 s spawned on
+# a 2-core x86-64 box (s = 40 at p = 2, N = 12 and p = 7, N = 4).  It is kept,
+# so the same calls are refused.  The norms at its edge are now 2-4 times
+# faster; below s = 12 one of small p^N takes up to twice as long, < 1 ms.
 NORM_COST_CAP = 3 * 10 ** 10
 # dieudonne: rank n over W(F_{q^u}) is rank n f u over W(F_p).
 DIEUDONNE_RANK_CAP = 400
@@ -177,7 +184,13 @@ def run_skewfield(args):
     algebra = CyclicAlgebra(ctx, args.r)
 
     def element(key):
-        return algebra.element(array(field(payload, key), key, digits))
+        coeffs = array(field(payload, key), key, digits)
+        if len(coeffs) > args.s:
+            raise PayloadError(f"{key}: expected at most {args.s} Pi-coefficients, got {len(coeffs)}")
+        for i, c in enumerate(coeffs):
+            if len(c) > ctx.carrier.m:
+                raise PayloadError(f"{key}[{i}]: expected at most {ctx.carrier.m} coefficients, got {len(c)}")
+        return algebra.element(coeffs)
 
     if op == "mul":
         out = algebra.mul(element("x"), element("y"))

@@ -265,7 +265,7 @@ class UnramWittCarrier:
         self._product_bound = m * (self.pN - 1) ** 2
         self._reduction_bound = (m - 1) * sum(map(bool, self.modulus_low)) * (self.pN - 1) ** 2
         self._packings: Dict[int, _Packing] = {}
-        self._mul_packing = self.packing(self._product_bound)
+        self._mul_packing = self._packing(self._product_bound)
 
     # -- basic ring structure ------------------------------------------------
 
@@ -317,7 +317,7 @@ class UnramWittCarrier:
         packing = self._mul_packing
         return tuple(packing.reduce(packing.pack(a) * packing.pack(b)))
 
-    def packing(self, bound: int) -> "_Packing":
+    def _packing(self, bound: int) -> "_Packing":
         """The packing, memoised by width, for sums of packed products
         whose slots are at most bound: its slots also hold a reduced
         coefficient, and bound plus what :meth:`_Packing.reduce` adds."""
@@ -335,7 +335,7 @@ class UnramWittCarrier:
         the packing is chosen for that bound, so no slot carries into the
         next (:class:`_Packing`)."""
         pairs = list(pairs)
-        packing = self.packing(len(pairs) * self._product_bound)
+        packing = self._packing(len(pairs) * self._product_bound)
         pack = packing.pack
         return tuple(packing.reduce(sum([pack(a) * pack(b) for a, b in pairs])))
 
@@ -435,7 +435,7 @@ class _Packing:
     The invariant is that every slot of every packed integer formed lies
     in [0, 2^w).  Then a sum or product of packed integers is the slotwise
     sum or convolution, with nothing carried from a slot into the next,
-    and the slots read back exactly.  :meth:`UnramWittCarrier.packing`
+    and the slots read back exactly.  :meth:`UnramWittCarrier._packing`
     picks w from a bound on the slots its caller forms and on what
     :meth:`reduce` adds to them."""
 
@@ -446,17 +446,10 @@ class _Packing:
         self.shifts = tuple(range(0, m * width, width))
         self.low_bits = m * width
         self.low_mask = (1 << self.low_bits) - 1
-        self.x_to_m = self.join([(-c) % pN for c in carrier.modulus_low])  # x^m mod (p^N, F)
-
-    def join(self, coeffs: Sequence[int]) -> int:
-        """sum_t coeffs[t] 2^(w t), for coefficients already in [0, 2^w)."""
-        packed, width = 0, self.width
-        for c in reversed(coeffs):
-            packed = packed << width | c
-        return packed
+        self.x_to_m = self.pack([-c for c in carrier.modulus_low])  # x^m mod (p^N, F)
 
     def pack(self, a: Sequence[int]) -> int:
-        """a packed, each coefficient read mod p^N first."""
+        """sum_t a[t] 2^(w t), each coefficient read mod p^N first."""
         packed, width, pN = 0, self.width, self.pN
         for c in reversed(a):
             packed = packed << width | c % pN
@@ -474,7 +467,7 @@ class _Packing:
         low, high = packed & low_mask, packed >> low_bits
         while high:
             slots = self.shifts[:-(-high.bit_length() // width)]
-            high = self.join([(high >> shift & mask) % pN for shift in slots]) * self.x_to_m
+            high = self.pack([high >> shift & mask for shift in slots]) * self.x_to_m
             low, high = low + (high & low_mask), high >> low_bits
         return [(low >> shift & mask) % pN for shift in self.shifts]
 

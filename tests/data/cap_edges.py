@@ -14,9 +14,12 @@ seconds are wall time from spawn to exit, interpreter start included.
 
 One JSON line per call is printed: the argv, the payload (in full when
 short, otherwise the seeded recipe that builds it), the payload's sha256
-and size, and per tree the runs, their median, the exit status and the
-sha256 of the whole stdout.  --match keeps the calls whose argv, joined
-by spaces, contains TEXT.
+and size, and per tree the runs, their min, quartiles (statistics.quantiles,
+n = 4, inclusive, so they lie between min and max), median and max, the
+exit status and the sha256 of the whole stdout.  Next to the ratio of the medians, change_wins counts the
+alternating runs in which the change was faster than the parent run
+beside it.  --match keeps the calls whose argv, joined by spaces, contains
+TEXT.
 
 The calls are too slow for the test suite, which does not collect this
 file; BENCH_<n>.json files record its output under ``cap_edges``.
@@ -151,8 +154,10 @@ def measure(trees, argv, payload, runs):
         if len(outcomes[name]) != 1:
             raise SystemExit(f"{name}: {' '.join(argv)} gave different stdout or status across runs")
         (status, digest), = outcomes[name]
-        out[name] = {"median_s": round(statistics.median(seconds[name]), 3), "runs_s": seconds[name],
-                     "status": status, "stdout_sha256": digest}
+        runs_s = seconds[name]
+        q1, median, q3 = statistics.quantiles(runs_s, n=4, method="inclusive") if len(runs_s) > 1 else runs_s * 3
+        out[name] = {"min_s": min(runs_s), "q1_s": round(q1, 3), "median_s": round(median, 3), "q3_s": round(q3, 3),
+                     "max_s": max(runs_s), "runs_s": runs_s, "status": status, "stdout_sha256": digest}
     return out
 
 
@@ -173,6 +178,8 @@ def main(argv=None):
         row.update(measure(trees, call_argv, payload, args.runs))
         row["stdout_identical"] = row["parent"]["stdout_sha256"] == row["change"]["stdout_sha256"]
         row["change_over_parent"] = round(row["change"]["median_s"] / row["parent"]["median_s"], 3)
+        wins = sum(c < p for c, p in zip(row["change"]["runs_s"], row["parent"]["runs_s"]))
+        row["change_wins"] = f"{wins}/{args.runs}"
         print(json.dumps(row), flush=True)
 
 

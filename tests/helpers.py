@@ -525,6 +525,26 @@ def leibniz_det(carrier, mat):
     return det
 
 
+def bird_det(carrier, mat):
+    """Reference determinant over any commutative ring: Bird's division-free
+    algorithm (Inf. Proc. Letters 111, 2011), which the reduced norm used
+    before the valuation-pivoted elimination.  X <- A, then n - 1 times
+    X <- mu(X) A, where mu(X) keeps the strict upper triangle of X and puts
+    -sum_{j > i} X_jj on the diagonal; then det A = (-1)^(n-1) X_00.  Only
+    ring operations, each entry of a product one carrier dot."""
+    n = len(mat)
+    x = mat
+    for _ in range(n - 1):
+        mu = [[carrier.zero()] * n for _ in range(n)]
+        tail = carrier.zero()
+        for i in reversed(range(n)):
+            mu[i][i + 1:] = x[i][i + 1:]
+            mu[i][i] = carrier.neg(tail)
+            tail = carrier.add(tail, x[i][i])
+        x = [[carrier.dot((mu[i][k], mat[k][j]) for k in range(n)) for j in range(n)] for i in range(n)]
+    return x[0][0] if n % 2 else carrier.neg(x[0][0])
+
+
 # The universal Witt laws, each (p, n) solved once per test session: the
 # library keeps no cache of them, since no runtime path reads them.
 universal_laws = functools.cache(universal_polynomials)

@@ -537,6 +537,17 @@ def test_skewfield_refuses_negative_r(argv, payload, monkeypatch, capsys):
      "x[0]: cannot coerce '1' into F_9"),
     (["witt", "--p", "3", "--ring", "Q"], '{"op":"neg","x":["1/0","2","7"]}',
      "x[0]: expected a rational number, got '1/0'"),
+    # arrays of the wrong length, checked where the payload is read
+    (["witt", "--ring", "Z", "--p", "2", "--length", "3"], '{"op":"add","x":[1,0],"y":[1,0,0]}',
+     "x: expected 3 coordinates, got 2"),
+    (["witt", "--ring", "Q", "--p", "2", "--length", "3"], '{"op":"ghost-inverse","x":[1,0]}',
+     "x: expected 3 ghost components, got 2"),
+    (["witt", "--ring", "Fq:2", "--p", "3", "--length", "1"], '{"op":"neg","x":[[1,2,3]]}',
+     "x[0]: expected at most 2 coefficients, got 3"),
+    (["skewfield", "--r", "1", "--s", "2"], '{"op":"norm","x":[[1,2,3,4]]}',
+     "x[0]: expected at most 2 coefficients, got 4"),
+    (["skewfield", "--r", "1", "--s", "2"], '{"op":"norm","x":[[1],[2],[3]]}',
+     "x: expected at most 2 Pi-coefficients, got 3"),
 ])
 def test_payload_errors_name_the_field(argv, payload, detail, monkeypatch, capsys):
     assert _main_in_process(argv, payload, monkeypatch, capsys) == (2, {"error": "parse", "detail": detail})
